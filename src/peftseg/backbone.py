@@ -260,19 +260,6 @@ class ViTBackbone:
             tokens = F.reshape(tokens, tokens.shape[1:])
         return tokens
 
-    def encode_metadata(self, lat, lon, day_of_year, year) -> Tensor:
-        """Deterministic d-vector added to every patch token before layer 1."""
-        MetadataEmbedding._features(lat, lon, day_of_year, year)  # range validation
-        scalar = np.ndim(lat) == 0
-        if not self.cfg.metadata_enabled or self.metadata is None:
-            batch = 1 if scalar else np.asarray(lat).shape[0]
-            out = np.zeros((batch, self.cfg.embed_dim), dtype=np.float32)
-            return Tensor(out[0] if scalar else out)
-        vec = self.metadata(lat, lon, day_of_year, year)
-        if scalar:
-            vec = F.reshape(vec, (self.cfg.embed_dim,))
-        return vec
-
     # -- encoder ------------------------------------------------------------
 
     def forward_features(self, tokens: Tensor, prompts=None, adapter_tokens=None) -> list[Tensor]:
@@ -318,28 +305,35 @@ class ViTBackbone:
             out = [F.reshape(t, t.shape[1:]) for t in out]
         return out
 
+    def encode(self, images, bands: Sequence[str] | None = None,
+               meta: dict | None = None) -> tuple[list[Tensor], Tensor | None]:
+        """Encode a (C,H,W) image or (B,C,H,W) batch: patch tokens plus the
+        metadata vector, the adapter stem, then the transformer.
+
+        Returns the four batched tap maps and the adapter tokens (None without
+        an adapter). ``meta`` holds ``lat``, ``lon``, ``day_of_year`` and
+        ``year`` per image and is ignored when metadata is disabled.
+        """
+        x = images if isinstance(images, Tensor) else Tensor(np.asarray(images, dtype=np.float32))
+        if x.ndim == 3:
+            x = F.reshape(x, (1,) + x.shape)
+        tokens = self.embed_patches(x, bands)
+        if self.cfg.metadata_enabled and meta is not None:
+            vec = self.metadata(meta["lat"], meta["lon"], meta["day_of_year"], meta["year"])
+            tokens = F.add(tokens, F.reshape(vec, (vec.shape[0], 1, vec.shape[1])))
+        adapter_tokens = self.adapter.stem_tokens(x) if self.adapter is not None else None
+        return self.forward_features(tokens, adapter_tokens=adapter_tokens), adapter_tokens
+
     def image_embedding(self, image, bands: Sequence[str] | None = None,
-                        lat=None, lon=None, day_of_year=None, year=None) -> np.ndarray:
+                        meta: dict | None = None) -> np.ndarray:
         """Arithmetic mean of the final-layer patch tokens, one d-vector per image."""
+        x = image if isinstance(image, Tensor) else Tensor(np.asarray(image, dtype=np.float32))
         with no_grad():
-            tokens = self.embed_patches(image, bands)
-            squeeze = tokens.ndim == 2
-            if squeeze:
-                tokens = F.reshape(tokens, (1,) + tokens.shape)
-            if self.cfg.metadata_enabled and lat is not None:
-                meta = self.metadata(lat, lon, day_of_year, year)
-                tokens = F.add(tokens, F.reshape(meta, (meta.shape[0], 1, meta.shape[-1])))
-            adapter_tokens = None
-            if self.adapter is not None:
-                img = image if isinstance(image, Tensor) else Tensor(np.asarray(image, dtype=np.float32))
-                if img.ndim == 3:
-                    img = F.reshape(img, (1,) + img.shape)
-                adapter_tokens = self.adapter.stem_tokens(img)
-            final = self.forward_features(tokens, adapter_tokens=adapter_tokens)[-1]
+            final = self.encode(x, bands, meta)[0][-1]
             b, gh, gw, d = final.shape
             emb = F.mean(F.reshape(final, (b, gh * gw, d)), axes=(1,))
-            out = np.array(emb.data, copy=True)
-        return out[0] if squeeze else out
+        out = np.array(emb.data, copy=True)
+        return out[0] if x.ndim == 3 else out
 
     # -- bookkeeping ---------------------------------------------------------
 

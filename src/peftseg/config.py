@@ -237,15 +237,12 @@ class ProjectConfig:
 
     def peft_configs(self) -> tuple[str, LoraConfig, VptConfig, VitAdapterConfig]:
         p = self.values["peft"]
-        method = normalize_policy(p["method"])
-        channels = tuple(p["adapter_channels"])
-        if len(channels) != 3:
-            raise ConfigError(f"adapter_channels needs 3 widths, got {channels}")
         return (
-            method,
+            normalize_policy(p["method"]),
             LoraConfig(rank=p["rank"], targets=tuple(p["targets"]), scaling=p["scaling"]),
             VptConfig(prompts_per_layer=p["prompts_per_layer"]),
-            VitAdapterConfig(channels=channels, injection_layers=tuple(p["injection_layers"])),
+            VitAdapterConfig(channels=tuple(p["adapter_channels"]),
+                             injection_layers=tuple(p["injection_layers"])),
         )
 
     def load_manifest(self) -> DatasetManifest:

@@ -338,6 +338,18 @@ def build_decoder(rng: np.random.Generator, cfg: DecoderConfig, embed_dim: int,
     return UNetDecoder(rng, cfg, pyramid_channels)
 
 
+def build_head(rng: np.random.Generator, cfg: DecoderConfig, embed_dim: int, patch_size: int,
+               adapter_attached: bool = False):
+    """(neck, decoder) for the configured head. Pyramid heads get the adapter
+    neck when a ViT-Adapter supplies the pyramid and the tap neck otherwise;
+    single-scale heads get no neck."""
+    neck = None
+    if cfg.needs_pyramid:
+        neck = AdapterNeck(rng, embed_dim) if adapter_attached else Neck(rng, embed_dim)
+    decoder = build_decoder(rng, cfg, embed_dim, patch_size, neck.channels if neck else None)
+    return neck, decoder
+
+
 def decode(features, cfg: DecoderConfig, decoder, out_hw: tuple[int, int],
            training: bool = False) -> Tensor:
     """Dispatch features to a built head. Single-scale heads consume the
@@ -348,13 +360,3 @@ def decode(features, cfg: DecoderConfig, decoder, out_hw: tuple[int, int],
     elif isinstance(features, FeaturePyramid):
         raise ShapeError(f"{cfg.kind} decoder consumes the final tap, not a pyramid")
     return decoder(features, out_hw, training)
-
-
-def estimate_decoder_params(cfg: DecoderConfig, embed_dim: int, patch_size: int) -> int:
-    """Exact parameter count, computed by constructing the head."""
-    rng = np.random.default_rng(0)
-    pyramid_channels = None
-    if cfg.needs_pyramid:
-        pyramid_channels = Neck(rng, embed_dim).channels
-    head = build_decoder(rng, cfg, embed_dim, patch_size, pyramid_channels)
-    return sum(t.size for _, t in head.named_parameters())

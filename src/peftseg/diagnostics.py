@@ -18,11 +18,15 @@ import numpy as np
 
 from .autodiff import trace
 from .backbone import BackboneConfig
+# unused here, but benchmark/tracer.py patches normalize, reflect_pad_to, subset_bands here
 from .data import DatasetManifest, normalize, reflect_pad_to, subset_bands
-from .decoders import DecoderConfig, Neck, build_decoder
+from .decoders import DecoderConfig, build_head
 from .errors import DataError
 from .model import SegmentationModel, build_model
 from .peft import LoraConfig, VitAdapterConfig, VptConfig
+from .training import assemble_batch, batches, load_split
+
+EMBED_BATCH = 32  # images per embedding forward
 
 
 # ---------------------------------------------------------------------------
@@ -32,26 +36,13 @@ from .peft import LoraConfig, VitAdapterConfig, VptConfig
 def split_embeddings(model: SegmentationModel, manifest: DatasetManifest, split: str,
                      bands=None) -> tuple[list[str], list[str], np.ndarray]:
     """Image embeddings for one split: (sample_ids, regions, (n, d) matrix)."""
-    ids = manifest.split_ids(split)
-    if not ids:
-        raise DataError(f"split {split!r} is empty")
-    regions = []
+    samples = load_split(manifest, split, bands, model.backbone.cfg.image_size)
+    metadata = model.backbone.cfg.metadata_enabled
     rows = []
-    meta_enabled = model.backbone.cfg.metadata_enabled
-    for sid in ids:
-        sample = normalize(manifest.load_sample(sid), manifest.band_stats)
-        if bands is not None and tuple(bands) != sample.bands:
-            sample = subset_bands(sample, bands)
-        if sample.mask.shape != model.backbone.cfg.image_size:
-            sample = reflect_pad_to(sample, model.backbone.cfg.image_size)
-        kwargs = {}
-        if meta_enabled:
-            kwargs = {"lat": sample.lat, "lon": sample.lon,
-                      "day_of_year": sample.day_of_year, "year": sample.year}
-        emb = model.backbone.image_embedding(sample.image, sample.bands, **kwargs)
-        rows.append(np.asarray(emb, dtype=np.float64))
-        regions.append(sample.region)
-    return ids, regions, np.stack(rows)
+    for idx in batches(list(range(len(samples))), EMBED_BATCH):
+        images, _, meta, batch_bands = assemble_batch(samples, idx, metadata)
+        rows.append(model.backbone.image_embedding(images, batch_bands, meta).astype(np.float64))
+    return [s.sample_id for s in samples], [s.region for s in samples], np.concatenate(rows)
 
 
 def export_embeddings(model: SegmentationModel, manifest: DatasetManifest, split: str,
@@ -139,6 +130,10 @@ def vpt_param_count(cfg: BackboneConfig, vpt: VptConfig) -> int:
     return cfg.depth * vpt.prompts_per_layer * cfg.embed_dim
 
 
+def cross_attention_param_count(d: int) -> int:
+    return 4 * (d * d + d)
+
+
 def adapter_param_count(cfg: BackboneConfig, adapter: VitAdapterConfig) -> int:
     d = cfg.embed_dim
     c_in = len(cfg.band_ids)
@@ -149,8 +144,7 @@ def adapter_param_count(cfg: BackboneConfig, adapter: VitAdapterConfig) -> int:
     count = sum(co * ci * 9 + co for ci, co in stem_dims)
     count += sum(d * c + d for c in adapter.channels)       # 1x1 projections
     n_blocks = len(adapter.injection_layers or cfg.tap_layers) + 1  # injectors + extractor
-    count += n_blocks * 4 * (d * d + d)
-    return count
+    return count + n_blocks * cross_attention_param_count(d)
 
 
 def peft_param_count(cfg: BackboneConfig, method: str, lora: LoraConfig | None = None,
@@ -168,21 +162,10 @@ def peft_param_count(cfg: BackboneConfig, method: str, lora: LoraConfig | None =
 def head_param_counts(backbone_cfg: BackboneConfig, decoder_cfg: DecoderConfig,
                       adapter_attached: bool = False) -> tuple[int, int]:
     """(neck params, decoder params) for the configured head."""
-    rng = np.random.default_rng(0)
-    neck_params = 0
-    pyramid_channels = None
-    if decoder_cfg.needs_pyramid:
-        d = backbone_cfg.embed_dim
-        if adapter_attached:
-            from .decoders import AdapterNeck
-            neck = AdapterNeck(rng, d)
-        else:
-            neck = Neck(rng, d)
-        neck_params = sum(t.size for _, t in neck.named_parameters())
-        pyramid_channels = neck.channels
-    head = build_decoder(rng, decoder_cfg, backbone_cfg.embed_dim,
-                         backbone_cfg.patch_size, pyramid_channels)
-    return neck_params, sum(t.size for _, t in head.named_parameters())
+    neck, decoder = build_head(np.random.default_rng(0), decoder_cfg, backbone_cfg.embed_dim,
+                               backbone_cfg.patch_size, adapter_attached)
+    neck_params = sum(t.size for _, t in neck.named_parameters()) if neck else 0
+    return neck_params, sum(t.size for _, t in decoder.named_parameters())
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +209,8 @@ def parameter_memory_report(backbone_cfg: BackboneConfig, decoder_cfg: DecoderCo
             trainable = neck_params + decoder_params
         else:
             trainable = peft + neck_params + decoder_params
+        if method == "vit_adapter" and not decoder_cfg.needs_pyramid:
+            trainable -= cross_attention_param_count(backbone_cfg.embed_dim)  # frozen extractor
         row = {
             "method": method,
             "encoder_params": encoder,

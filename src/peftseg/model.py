@@ -11,7 +11,7 @@ import numpy as np
 
 from .autodiff import Tensor, functional as F, load_checkpoint, save_checkpoint
 from .backbone import BackboneConfig, ViTBackbone
-from .decoders import AdapterNeck, DecoderConfig, Neck, build_decoder, decode
+from .decoders import DecoderConfig, build_head, decode
 from .errors import CheckpointError
 from .peft import (LoraConfig, VitAdapterConfig, VptConfig, apply_freeze_policy,
                    attach_lora, attach_vit_adapter, attach_vpt, normalize_policy)
@@ -22,43 +22,25 @@ class SegmentationModel:
         self.backbone = backbone
         self.decoder_cfg = decoder_cfg
         rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-        d = backbone.cfg.embed_dim
-        self.neck = None
-        pyramid_channels = None
-        if decoder_cfg.needs_pyramid:
-            if backbone.adapter is not None:
-                self.neck = AdapterNeck(rng, d)
-            else:
-                self.neck = Neck(rng, d)
-            pyramid_channels = self.neck.channels
-        self.decoder = build_decoder(rng, decoder_cfg, d, backbone.cfg.patch_size, pyramid_channels)
+        self.neck, self.decoder = build_head(rng, decoder_cfg, backbone.cfg.embed_dim,
+                                             backbone.cfg.patch_size, backbone.adapter is not None)
         self.policy = None
 
     # -- forward -------------------------------------------------------------
 
     def forward(self, images, bands=None, meta=None, training: bool = False) -> Tensor:
         """Per-pixel class logits (B, K, H, W) for a normalized image batch."""
-        x = images if isinstance(images, Tensor) else Tensor(np.asarray(images, dtype=np.float32))
-        if x.ndim == 3:
-            x = F.reshape(x, (1,) + x.shape)
-        tokens = self.backbone.embed_patches(x, bands)
-        if self.backbone.cfg.metadata_enabled and meta is not None:
-            vec = self.backbone.metadata(meta["lat"], meta["lon"], meta["day_of_year"], meta["year"])
-            tokens = F.add(tokens, F.reshape(vec, (vec.shape[0], 1, vec.shape[1])))
-        adapter_tokens = None
+        taps, adapter_tokens = self.backbone.encode(images, bands, meta)
+        out_hw = self.backbone.cfg.image_size
+        if not self.decoder_cfg.needs_pyramid:
+            return decode(taps[-1], self.decoder_cfg, self.decoder, out_hw, training)
         if self.backbone.adapter is not None:
-            adapter_tokens = self.backbone.adapter.stem_tokens(x)
-        taps = self.backbone.forward_features(tokens, adapter_tokens=adapter_tokens)
-        out_hw = (x.shape[2], x.shape[3])
-        if self.decoder_cfg.needs_pyramid:
-            if self.backbone.adapter is not None:
-                b, gh, gw, d = taps[-1].shape
-                final_tokens = F.reshape(taps[-1], (b, gh * gw, d))
-                pyramid = self.neck(self.backbone.adapter.pyramid(adapter_tokens, final_tokens))
-            else:
-                pyramid = self.neck(taps)
-            return decode(pyramid, self.decoder_cfg, self.decoder, out_hw, training)
-        return decode(taps[-1], self.decoder_cfg, self.decoder, out_hw, training)
+            b, gh, gw, d = taps[-1].shape
+            final_tokens = F.reshape(taps[-1], (b, gh * gw, d))
+            pyramid = self.neck(self.backbone.adapter.pyramid(adapter_tokens, final_tokens))
+        else:
+            pyramid = self.neck(taps)
+        return decode(pyramid, self.decoder_cfg, self.decoder, out_hw, training)
 
     # -- parameters ------------------------------------------------------------
 

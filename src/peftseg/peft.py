@@ -323,8 +323,10 @@ def apply_freeze_policy(model, policy: str):
         raise ConfigError(f"policy {policy!r} requires a matching attachment, found {kind!r}")
     if policy in ("full_finetune", "linear_probe") and kind is not None:
         raise ConfigError(f"policy {policy!r} is incompatible with the {kind!r} attachment")
+    # the extractor feeds only the pyramid, which single-scale heads never read
+    unread = () if model.decoder_cfg.needs_pyramid else ("peft.adapter.extract.",)
     for name, tensor in model.named_parameters():
-        tensor.requires_grad = policy_trains(policy, name)
+        tensor.requires_grad = policy_trains(policy, name) and not name.startswith(unread)
     model.policy = policy
     return model
 

@@ -182,12 +182,12 @@ def min_cross_split_distance(pool, assignment: dict[str, str]) -> float:
     best = float("inf")
     lats = np.array([e.lat for e in entries])
     lons = np.array([e.lon for e in entries])
-    splits = [assignment[e.sample_id] for e in entries]
+    splits = np.array([assignment[e.sample_id] for e in entries])
     for i in range(len(entries)):
         dists = haversine_km(lats[i], lons[i], lats[i + 1:], lons[i + 1:])
-        for off, d in enumerate(dists):
-            if splits[i] != splits[i + 1 + off]:
-                best = min(best, float(d))
+        cross = splits[i + 1:] != splits[i]
+        if cross.any():
+            best = min(best, float(dists[cross].min()))
     return best
 
 

@@ -100,49 +100,44 @@ class AdamW:
                 update = update + self.weight_decay * t.data
             t.data -= (self.lr * update).astype(t.data.dtype)
 
-    def state_elements(self) -> int:
-        return sum(2 * t.size for _, t in self.params)
-
-
-class ReduceOnPlateau:
-    """Multiply the optimizer LR by ``factor`` after ``patience`` consecutive
-    epochs without metric improvement (metric is maximized)."""
-
-    def __init__(self, optimizer: AdamW, patience: int = 4, factor: float = 0.5):
-        self.optimizer = optimizer
-        self.patience = patience
-        self.factor = factor
-        self.best = None
-        self.bad_epochs = 0
-
-    def step(self, metric: float) -> bool:
-        if self.best is None or metric > self.best:
-            self.best = metric
-            self.bad_epochs = 0
-            return False
-        self.bad_epochs += 1
-        if self.bad_epochs >= self.patience:
-            self.optimizer.lr *= self.factor
-            self.bad_epochs = 0
-            return True
-        return False
-
 
 class EarlyStopping:
-    """Signal a stop after ``patience`` consecutive epochs without improvement."""
+    """Track the best metric (maximized) and the epoch it came from; signal a
+    stop after ``patience`` consecutive epochs without improvement."""
 
     def __init__(self, patience: int = 15):
         self.patience = patience
         self.best = None
+        self.best_epoch = 0
+        self.epochs = 0
         self.bad_epochs = 0
 
     def step(self, metric: float) -> bool:
+        self.epochs += 1
         if self.best is None or metric > self.best:
             self.best = metric
+            self.best_epoch = self.epochs
             self.bad_epochs = 0
             return False
         self.bad_epochs += 1
         return self.bad_epochs >= self.patience
+
+
+class ReduceOnPlateau(EarlyStopping):
+    """Multiply the optimizer LR by ``factor`` after ``patience`` consecutive
+    epochs without metric improvement, then start counting again."""
+
+    def __init__(self, optimizer: AdamW, patience: int = 4, factor: float = 0.5):
+        super().__init__(patience)
+        self.optimizer = optimizer
+        self.factor = factor
+
+    def step(self, metric: float) -> bool:
+        if not super().step(metric):
+            return False
+        self.optimizer.lr *= self.factor
+        self.bad_epochs = 0
+        return True
 
 
 @dataclass
@@ -170,46 +165,51 @@ def write_history_csv(history: list[dict], path) -> None:
                              *(f"{row[c]:.10g}" for c in HISTORY_COLUMNS[1:])])
 
 
-def _load_split(manifest: DatasetManifest, split: str, bands, pad_to=None) -> list:
+def load_split(manifest: DatasetManifest, split: str, bands, pad_to) -> list:
+    """Every sample of a split, normalized, cut to ``bands`` (None keeps all)
+    and reflect-padded to ``pad_to``."""
     samples = []
     for sid in manifest.split_ids(split):
         sample = normalize(manifest.load_sample(sid), manifest.band_stats)
         if bands is not None and tuple(bands) != sample.bands:
             sample = subset_bands(sample, bands)
-        if pad_to is not None and sample.mask.shape != tuple(pad_to):
+        if sample.mask.shape != tuple(pad_to):
             sample = reflect_pad_to(sample, pad_to)
         samples.append(sample)
+    if not samples:
+        raise DataError(f"split {split!r} is empty")
     return samples
 
 
-def _batches(indices, batch_size):
+def batches(indices, batch_size):
     for start in range(0, len(indices), batch_size):
         yield indices[start:start + batch_size]
 
 
-def _assemble(samples, idx, metadata: bool):
-    images = np.stack([samples[i].image for i in idx])
-    masks = np.stack([samples[i].mask for i in idx]).astype(np.int64)
+def assemble_batch(samples, idx, metadata: bool):
+    """Stack one batch: (images, masks, metadata or None, the batch's band order)."""
+    batch = [samples[i] for i in idx]
+    band_orders = {s.bands for s in batch}
+    if len(band_orders) != 1:
+        raise DataError(f"batch mixes band orders {sorted(band_orders)}")
+    images = np.stack([s.image for s in batch])
+    masks = np.stack([s.mask for s in batch]).astype(np.int64)
     meta = None
     if metadata:
-        meta = {
-            "lat": np.array([samples[i].lat for i in idx]),
-            "lon": np.array([samples[i].lon for i in idx]),
-            "day_of_year": np.array([samples[i].day_of_year for i in idx]),
-            "year": np.array([samples[i].year for i in idx]),
-        }
-    return images, masks, meta
+        meta = {key: np.array([getattr(s, key) for s in batch])
+                for key in ("lat", "lon", "day_of_year", "year")}
+    return images, masks, meta, band_orders.pop()
 
 
-def _eval_pass(model: SegmentationModel, samples, batch_size: int, bands,
+def _eval_pass(model: SegmentationModel, samples, batch_size: int,
                num_classes: int) -> tuple[float, ConfusionMatrix]:
     cm = ConfusionMatrix(num_classes)
     loss_total = 0.0
     weight_total = 0
     metadata = model.backbone.cfg.metadata_enabled
     with no_grad():
-        for idx in _batches(list(range(len(samples))), batch_size):
-            images, masks, meta = _assemble(samples, idx, metadata)
+        for idx in batches(list(range(len(samples))), batch_size):
+            images, masks, meta, bands = assemble_batch(samples, idx, metadata)
             logits = model.forward(images, bands=bands, meta=meta, training=False)
             loss = F.cross_entropy(logits, masks, ignore_index=IGNORE_INDEX)
             n_valid = int((masks != IGNORE_INDEX).sum())
@@ -223,13 +223,11 @@ def _eval_pass(model: SegmentationModel, samples, batch_size: int, bands,
 def evaluate(model: SegmentationModel, manifest: DatasetManifest, split: str,
              batch_size: int = 8, bands=None) -> dict:
     """Confusion-matrix metrics over a whole split."""
-    samples = _load_split(manifest, split, bands, pad_to=model.backbone.cfg.image_size)
-    if not samples:
-        raise DataError(f"split {split!r} is empty")
+    samples = load_split(manifest, split, bands, model.backbone.cfg.image_size)
     if model.decoder_cfg.num_classes != manifest.num_classes:
         raise ConfigError(f"model has {model.decoder_cfg.num_classes} classes, "
                           f"dataset has {manifest.num_classes}")
-    loss, cm = _eval_pass(model, samples, batch_size, bands, manifest.num_classes)
+    loss, cm = _eval_pass(model, samples, batch_size, manifest.num_classes)
     return {
         "miou": miou(cm),
         "per_class_iou": per_class_iou(cm).tolist(),
@@ -245,12 +243,8 @@ def train(cfg: RunConfig, verbose: bool = False) -> RunResult:
     if manifest.num_classes != cfg.decoder.num_classes:
         raise ConfigError(f"decoder expects {cfg.decoder.num_classes} classes, "
                           f"dataset has {manifest.num_classes}")
-    train_samples = _load_split(manifest, "train", cfg.bands, pad_to=cfg.backbone.image_size)
-    val_samples = _load_split(manifest, "val", cfg.bands, pad_to=cfg.backbone.image_size)
-    if not train_samples:
-        raise DataError("train split is empty")
-    if not val_samples:
-        raise DataError("val split is empty")
+    train_samples = load_split(manifest, "train", cfg.bands, cfg.backbone.image_size)
+    val_samples = load_split(manifest, "val", cfg.bands, cfg.backbone.image_size)
 
     model = build_model(cfg.backbone, cfg.decoder, cfg.method, seed=cfg.seed,
                         lora_cfg=cfg.lora, vpt_cfg=cfg.vpt, adapter_cfg=cfg.adapter)
@@ -262,9 +256,6 @@ def train(cfg: RunConfig, verbose: bool = False) -> RunResult:
     metadata = cfg.backbone.metadata_enabled
 
     history: list[dict] = []
-    best_miou = -np.inf
-    best_epoch = 0
-    best_state = model.snapshot()
     t_start = time.perf_counter()
 
     for epoch in range(1, cfg.max_epochs + 1):
@@ -272,9 +263,9 @@ def train(cfg: RunConfig, verbose: bool = False) -> RunResult:
         order = shuffle_rng.permutation(len(train_samples)).tolist()
         loss_total = 0.0
         weight_total = 0
-        for batch_no, idx in enumerate(_batches(order, cfg.batch_size)):
-            images, masks, meta = _assemble(train_samples, idx, metadata)
-            logits = model.forward(images, bands=cfg.bands, meta=meta, training=True)
+        for batch_no, idx in enumerate(batches(order, cfg.batch_size)):
+            images, masks, meta, bands = assemble_batch(train_samples, idx, metadata)
+            logits = model.forward(images, bands=bands, meta=meta, training=True)
             loss = F.cross_entropy(logits, masks, ignore_index=IGNORE_INDEX)
             loss_value = loss.item()
             if not np.isfinite(loss_value):
@@ -288,8 +279,7 @@ def train(cfg: RunConfig, verbose: bool = False) -> RunResult:
             weight_total += len(idx)
         train_loss = loss_total / weight_total
 
-        val_loss, cm = _eval_pass(model, val_samples, cfg.batch_size, cfg.bands,
-                                  manifest.num_classes)
+        val_loss, cm = _eval_pass(model, val_samples, cfg.batch_size, manifest.num_classes)
         val_miou = miou(cm)
         lr_now = optimizer.lr
         history.append({
@@ -304,12 +294,11 @@ def train(cfg: RunConfig, verbose: bool = False) -> RunResult:
             print(f"epoch {epoch:3d}  train {train_loss:.4f}  val {val_loss:.4f}  "
                   f"mIoU {val_miou:.2f}  lr {lr_now:.2e}")
 
-        if val_miou > best_miou:
-            best_miou = val_miou
-            best_epoch = epoch
+        stop = stopper.step(val_miou)
+        if stopper.best_epoch == epoch:
             best_state = model.snapshot()
         scheduler.step(val_miou)
-        if stopper.step(val_miou):
+        if stop:
             break
 
     model.restore(best_state)
@@ -320,8 +309,8 @@ def train(cfg: RunConfig, verbose: bool = False) -> RunResult:
         final["ghos"] = evaluate(model, manifest, "ghos", cfg.batch_size, cfg.bands)
 
     return RunResult(
-        best_epoch=best_epoch,
-        best_val_miou=best_miou,
+        best_epoch=stopper.best_epoch,
+        best_val_miou=stopper.best,
         history=history,
         final_metrics=final,
         wall_seconds=time.perf_counter() - t_start,

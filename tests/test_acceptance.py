@@ -7,6 +7,7 @@ so the whole suite stays in the minutes range on one CPU.
 
 import json
 import time
+import zlib
 
 import numpy as np
 
@@ -100,6 +101,17 @@ def test_criterion_2_lora_identity_and_merge(desk_runs, desk_manifest, desk_back
 # 3. gradient correctness for every differentiable primitive + adjoint
 
 
+GRAD_EPS = 1e-3
+
+
+def _top_two_gap(x: np.ndarray, k: int) -> float:
+    """Smallest gap between the two largest values of any k x k pooling window."""
+    b, c, h, w = x.shape
+    windows = x.reshape(b, c, h // k, k, w // k, k).transpose(0, 1, 2, 4, 3, 5)
+    top = np.sort(windows.reshape(-1, k * k), axis=1)
+    return float((top[:, -1] - top[:, -2]).min())
+
+
 def _gradcheck_case(op_id: str, rng: np.random.Generator):
     """Point tensor and scalar-valued function exercising one primitive."""
     def pt(shape, scale=1.0, away_from_zero=False):
@@ -189,7 +201,12 @@ def _gradcheck_case(op_id: str, rng: np.random.Generator):
         return pt((1, 2, 5, 5)), lambda x: F.sum(F.mul(F.avg_pool2d(x, 2, 2), c))
     if op_id == "max_pool2d":
         c = pt((1, 1, 2, 2))
-        return pt((1, 1, 4, 4)), lambda x: F.sum(F.mul(F.max_pool2d(x, 2, 2), c))
+        x = pt((1, 1, 4, 4))
+        # a central difference across the max kink is no derivative: keep every
+        # window's top two values more than 2*eps apart
+        while _top_two_gap(x.data, 2) <= 2 * GRAD_EPS:
+            x = pt((1, 1, 4, 4))
+        return x, lambda x: F.sum(F.mul(F.max_pool2d(x, 2, 2), c))
     if op_id == "adaptive_avg_pool2d":
         c = pt((1, 2, 3, 3))
         return pt((1, 2, 5, 7)), lambda x: F.sum(F.mul(F.adaptive_avg_pool2d(x, 3, 3), c))
@@ -204,9 +221,9 @@ def test_criterion_3_gradients_and_adjoint():
     for op_id in registered_primitives():
         errs = []
         for instance in range(20):
-            rng = np.random.default_rng(hash((op_id, instance)) % (2 ** 32))
+            rng = np.random.default_rng(zlib.crc32(f"{op_id}/{instance}".encode()))
             point, fn = _gradcheck_case(op_id, rng)
-            errs.append(grad_check(fn, point, eps=1e-3))
+            errs.append(grad_check(fn, point, eps=GRAD_EPS))
         worst[op_id] = max(errs)
     grad_ok = all(err <= 1e-3 for err in worst.values())
 

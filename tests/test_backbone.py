@@ -134,26 +134,27 @@ def test_forward_without_prompts_is_plain_vit():
 
 def test_metadata_disabled_gives_zero_vector():
     backbone = ViTBackbone(tiny_backbone(metadata=False), seed=7)
-    vec = backbone.encode_metadata(45.0, 8.0, 120, 2021)
-    assert vec.shape == (64,)
-    assert not vec.data.any()
+    image = RNG.normal(size=(6, 64, 64)).astype(np.float32)
+    meta = {"lat": 45.0, "lon": 8.0, "day_of_year": 120, "year": 2021}
+    np.testing.assert_array_equal(backbone.image_embedding(image, meta=meta),
+                                  backbone.image_embedding(image))
 
 
 def test_metadata_purity_and_latitude_sensitivity():
     backbone = ViTBackbone(tiny_backbone(metadata=True), seed=8)
-    a = backbone.encode_metadata(45.0, 8.0, 120, 2021)
-    b = backbone.encode_metadata(45.0, 8.0, 120, 2021)
+    a = backbone.metadata(45.0, 8.0, 120, 2021)
+    b = backbone.metadata(45.0, 8.0, 120, 2021)
     np.testing.assert_array_equal(a.data, b.data)
-    c = backbone.encode_metadata(-10.0, 8.0, 120, 2021)
+    c = backbone.metadata(-10.0, 8.0, 120, 2021)
     assert np.abs(a.data - c.data).max() > 0
 
 
 def test_metadata_out_of_range_rejected():
     backbone = ViTBackbone(tiny_backbone(metadata=True), seed=8)
     with pytest.raises(ShapeError):
-        backbone.encode_metadata(95.0, 0.0, 1, 2020)
+        backbone.metadata(95.0, 0.0, 1, 2020)
     with pytest.raises(ShapeError):
-        backbone.encode_metadata(0.0, 200.0, 1, 2020)
+        backbone.metadata(0.0, 200.0, 1, 2020)
 
 
 def test_image_embedding_is_token_mean():

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from peftseg.autodiff import Tensor, backward, functional as F, trace
 from peftseg.autodiff.primitives import is_linear_primitive
-from peftseg.decoders import (DecoderConfig, FeaturePyramid, Neck, build_decoder, decode,
-                              estimate_decoder_params)
+from peftseg.decoders import (DecoderConfig, FeaturePyramid, Neck, build_decoder, build_head,
+                              decode)
 from peftseg.errors import ConfigError, ShapeError
 from peftseg.model import build_model
 
@@ -159,9 +159,14 @@ def test_ppm_scale_one_branch_permutation_invariant():
     np.testing.assert_allclose(a, b, atol=1e-6)
 
 
+def decoder_params(cfg, embed_dim, patch_size):
+    _, head = build_head(np.random.default_rng(0), cfg, embed_dim, patch_size)
+    return sum(t.size for _, t in head.named_parameters())
+
+
 def test_estimate_linear_decoder_params():
     # d=64, p=8, 2 classes: convT weight 64*2*8*8 plus 2 bias values
-    assert estimate_decoder_params(DecoderConfig("linear", 2), 64, 8) == 8_194
+    assert decoder_params(DecoderConfig("linear", 2), 64, 8) == 8_194
 
 
 def test_estimate_rejects_single_class():
@@ -170,7 +175,7 @@ def test_estimate_rejects_single_class():
 
 
 def test_fcn_params_increase_with_hidden_width():
-    counts = [estimate_decoder_params(DecoderConfig("fcn", 2, fcn_hidden=h), 32, 8)
+    counts = [decoder_params(DecoderConfig("fcn", 2, fcn_hidden=h), 32, 8)
               for h in (8, 16, 32, 64)]
     assert counts == sorted(counts) and len(set(counts)) == len(counts)
 
@@ -178,7 +183,7 @@ def test_fcn_params_increase_with_hidden_width():
 def test_estimate_matches_built_model():
     for kind in ("linear", "fcn", "upernet", "unet"):
         cfg = DecoderConfig(kind, 3)
-        est = estimate_decoder_params(cfg, 64, 8)
+        est = decoder_params(cfg, 64, 8)
         model = build_model(tiny_backbone(), cfg, "full_finetune", seed=0)
         from peftseg.peft import count_parameters
         assert est == count_parameters(model).decoder, kind

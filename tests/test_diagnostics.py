@@ -45,6 +45,18 @@ def test_identical_samples_identical_rows(diag_model, desk_manifest):
     np.testing.assert_array_equal(a, b)
 
 
+def test_split_embeddings_match_single_image_path(desk_manifest, desk_backbone):
+    model = build_model(desk_backbone, DecoderConfig("linear", 2), "vit_adapter", seed=0,
+                        adapter_cfg=TINY_ADAPTER)
+    ids, regions, emb = split_embeddings(model, desk_manifest, "val")
+    assert ids == desk_manifest.split_ids("val")
+    for sid, region, row in zip(ids, regions, emb):
+        sample = normalize(desk_manifest.load_sample(sid), desk_manifest.band_stats)
+        assert region == sample.region
+        np.testing.assert_allclose(row, model.backbone.image_embedding(sample.image),
+                                   rtol=0, atol=1e-5)
+
+
 def test_constant_image_embedding_matches_direct_path(desk_backbone):
     """A constant (all-zero normalized) image exercises only bias + position,
     so the embedding equals the forward of exactly that path."""
@@ -131,6 +143,17 @@ def test_metadata_embedding_counts():
     assert with_meta - without == 3 * (2 * d + d) + (d + d)
 
 
+def test_report_trainable_matches_built_model(desk_backbone):
+    for kind in ("linear", "unet"):
+        dec_cfg = DecoderConfig(kind, 2)
+        rows = parameter_memory_report(desk_backbone, dec_cfg, adapter=TINY_ADAPTER,
+                                       include_activations=False)
+        for row in rows:
+            model = build_model(desk_backbone, dec_cfg, row["method"], adapter_cfg=TINY_ADAPTER)
+            assert count_parameters(model).trainable == row["trainable_params"], \
+                (kind, row["method"])
+
+
 def test_report_rows_and_footprint_ordering(desk_backbone):
     rows = parameter_memory_report(desk_backbone, DecoderConfig("linear", 2),
                                    batch_size=8, adapter=TINY_ADAPTER,
@@ -175,9 +198,9 @@ def test_adapter_percentage_for_large_shape_in_band():
 
 
 def test_head_param_counts_match_estimate():
-    from peftseg.decoders import estimate_decoder_params
     cfg = tiny_backbone()
     for kind in ("linear", "fcn", "upernet", "unet"):
         dec_cfg = DecoderConfig(kind, 3)
-        _, decoder_params = head_param_counts(cfg, dec_cfg)
-        assert decoder_params == estimate_decoder_params(dec_cfg, 64, 8)
+        neck_params, decoder_params = head_param_counts(cfg, dec_cfg)
+        report = count_parameters(build_model(cfg, dec_cfg, "full_finetune", seed=0))
+        assert (neck_params, decoder_params) == (report.neck, report.decoder)

@@ -231,6 +231,16 @@ def test_decoder_trainable_under_every_policy():
                 assert t.requires_grad, (method, name)
 
 
+def test_adapter_extractor_trains_only_for_pyramid_heads():
+    for kind, trains in (("linear", False), ("unet", True)):
+        model = build_model(tiny_backbone(), DecoderConfig(kind, 2), "vit_adapter",
+                            adapter_cfg=TINY_ADAPTER)
+        extractor = [t for n, t in model.named_parameters()
+                     if n.startswith("peft.adapter.extract.")]
+        assert len(extractor) == 8
+        assert all(t.requires_grad == trains for t in extractor), kind
+
+
 def test_policy_trains_name_rules():
     assert policy_trains("lora", "peft.lora.blocks.0.attn.q.lora_a")
     assert not policy_trains("lora", "encoder.blocks.0.attn.q.weight")

@@ -126,6 +126,23 @@ def test_min_cross_split_distance_at_least_buffer():
     assert audit["buffer_respected"]
 
 
+def test_min_cross_split_distance_equals_pairwise_loop():
+    rng = np.random.default_rng(21)
+    pool = [entry(f"s{i:03d}", lat=float(rng.uniform(-2, 2)), lon=float(rng.uniform(-2, 2)))
+            for i in range(120)]
+    assignment = {e.sample_id: ("train", "val", "test")[int(rng.integers(3))] for e in pool[:110]}
+    entries = [e for e in pool if e.sample_id in assignment]
+    lats = np.array([e.lat for e in entries])
+    lons = np.array([e.lon for e in entries])
+    reference = float("inf")
+    for i, a in enumerate(entries):
+        dists = haversine_km(lats[i], lons[i], lats[i + 1:], lons[i + 1:])
+        for b, d in zip(entries[i + 1:], dists):
+            if assignment[a.sample_id] != assignment[b.sample_id]:
+                reference = min(reference, float(d))
+    assert min_cross_split_distance(pool, assignment) == reference
+
+
 def test_exact_sizes_for_singleton_clusters():
     # 10 mutually distant samples at ratios (0.6, 0.2, 0.2) -> sizes (6, 2, 2)
     pool = grid_pool(10)

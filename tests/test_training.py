@@ -7,11 +7,13 @@ import pytest
 
 from peftseg.autodiff import Tensor
 from peftseg.decoders import DecoderConfig
+from peftseg.data import normalize, subset_bands
 from peftseg.errors import ConfigError, DataError, TrainingDivergedError
+from peftseg.model import build_model
 from peftseg.synthetic import SyntheticConfig, generate_synthetic
 from peftseg.training import (AdamW, EarlyStopping, ReduceOnPlateau, RunConfig,
-                              aggregate_values, evaluate, lr_search, run_replicates, train,
-                              write_history_csv)
+                              aggregate_values, assemble_batch, evaluate, lr_search,
+                              run_replicates, train, write_history_csv)
 
 from conftest import tiny_backbone
 
@@ -231,6 +233,25 @@ def test_evaluate_smaller_extent_padded(mini_manifest):
     result = train(cfg)
     metrics = evaluate(result.model, mini_manifest, "val", batch_size=4)
     assert 0 <= metrics["miou"] <= 100
+
+
+def test_band_subset_order_does_not_matter(mini_manifest):
+    """Subsets keep the dataset's channel order, so a subset named in either
+    order pairs each channel with its own patch-embedding slab."""
+    model = build_model(tiny_backbone(image=(32, 32)), DecoderConfig("linear", 2),
+                        "full_finetune", seed=0)
+    a = evaluate(model, mini_manifest, "val", batch_size=4, bands=("swir1", "red"))
+    b = evaluate(model, mini_manifest, "val", batch_size=4, bands=("red", "swir1"))
+    assert a == b
+
+
+def test_batch_mixing_band_orders_rejected(mini_manifest):
+    sid = mini_manifest.split_ids("train")[0]
+    sample = normalize(mini_manifest.load_sample(sid), mini_manifest.band_stats)
+    samples = [sample, subset_bands(sample, ("red", "nir"))]
+    assert assemble_batch(samples, [0], metadata=False)[3] == sample.bands
+    with pytest.raises(DataError):
+        assemble_batch(samples, [0, 1], metadata=False)
 
 
 # ---------------------------------------------------------------------------
