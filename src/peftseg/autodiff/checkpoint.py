@@ -21,15 +21,14 @@ _DTYPE = np.dtype("<f4")
 
 
 def save_checkpoint(directory, named_arrays) -> None:
-    """Write ``{name: ndarray}`` (or an iterable of pairs) in iteration order."""
+    """Write ``{name: ndarray}`` in iteration order."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    items = named_arrays.items() if hasattr(named_arrays, "items") else named_arrays
 
     entries = []
     offset = 0
     blobs = []
-    for name, arr in items:
+    for name, arr in named_arrays.items():
         arr = np.asarray(arr)
         raw = np.ascontiguousarray(arr, dtype=_DTYPE).tobytes()
         entries.append({

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import threading
+import weakref
 
 import numpy as np
 
@@ -44,17 +45,24 @@ class Node:
 
     ``index`` is a process-wide monotonically increasing sequence number, so
     insertion order is a topological order of the graph by construction.
+    The output tensor holds its node, so the node refers back to it weakly:
+    a graph is freed as soon as its root is, without the cyclic collector.
     """
 
-    __slots__ = ("op_id", "inputs", "output", "backward_fn", "needs", "index")
+    __slots__ = ("op_id", "inputs", "_output", "backward_fn", "needs", "index")
 
     def __init__(self, op_id, inputs, output, backward_fn, needs):
         self.op_id = op_id
         self.inputs = inputs
-        self.output = output
+        self._output = weakref.ref(output)
         self.backward_fn = backward_fn
         self.needs = needs
         self.index = next(_node_counter)
+
+    @property
+    def output(self) -> "Tensor | None":
+        """The tensor this node produced (None once that tensor is freed)."""
+        return self._output()
 
 
 class Tensor:
@@ -66,7 +74,7 @@ class Tensor:
     between forward passes.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "node")
+    __slots__ = ("data", "requires_grad", "grad", "node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data)
@@ -105,14 +113,6 @@ class Tensor:
         view = self.data.view()
         view.flags.writeable = False
         return view
-
-    def detach(self) -> "Tensor":
-        t = Tensor.__new__(Tensor)
-        t.data = self.data
-        t.requires_grad = False
-        t.grad = None
-        t.node = None
-        return t
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -199,9 +199,6 @@ class Tape:
 
     def __init__(self, nodes: list[Node]):
         self.nodes = nodes
-
-    def __len__(self) -> int:
-        return len(self.nodes)
 
     def op_ids(self) -> list[str]:
         return [n.op_id for n in self.nodes]

@@ -119,14 +119,11 @@ class PatchEmbedding:
 
 class MetadataEmbedding:
     """Sine-cosine encodings of location and day-of-year plus a linear year
-    term, each projected to the embedding width. Disabled fields contribute an
-    exact zero vector."""
+    term, each projected to the embedding width and summed."""
 
     FIELDS = ("lat", "lon", "day_of_year", "year")
 
-    def __init__(self, rng: np.random.Generator, embed_dim: int, enabled=None):
-        self.embed_dim = embed_dim
-        self.enabled = dict.fromkeys(self.FIELDS, True) if enabled is None else dict(enabled)
+    def __init__(self, rng: np.random.Generator, embed_dim: int):
         self.encoders = {
             "lat": Linear(rng, 2, embed_dim),
             "lon": Linear(rng, 2, embed_dim),
@@ -156,15 +153,10 @@ class MetadataEmbedding:
 
     def __call__(self, lat, lon, day_of_year, year) -> Tensor:
         feats = self._features(lat, lon, day_of_year, year)
-        batch = feats["lat"].shape[0]
         out = None
         for name in self.FIELDS:
-            if not self.enabled.get(name, True):
-                continue
             vec = self.encoders[name](Tensor(feats[name].astype(np.float32)))
             out = vec if out is None else F.add(out, vec)
-        if out is None:
-            out = Tensor(np.zeros((batch, self.embed_dim), dtype=np.float32))
         return out
 
     def named_parameters(self, prefix: str) -> Params:

@@ -17,7 +17,6 @@ from pathlib import Path
 
 from . import diagnostics
 from .config import ProjectConfig
-from .data import DatasetManifest
 from .errors import ConfigError, EngineError
 from .model import build_model
 from .splits import audit_splits, build_buffered_spatial_splits, build_class_balanced_splits
@@ -59,27 +58,26 @@ def _load_config(args) -> ProjectConfig:
     return cfg
 
 
-def _model_from_checkpoint(cfg: ProjectConfig, manifest: DatasetManifest, checkpoint: str):
+def _checkpoint_inputs(cfg: ProjectConfig, args):
+    """(manifest, model loaded from ``--checkpoint``, configured bands or None)."""
+    manifest = cfg.load_manifest()
     method, lora, vpt, adapter = cfg.peft_configs()
     model = build_model(cfg.backbone_config(), cfg.decoder_config(manifest.num_classes),
                         method, seed=cfg.get("train", "seed"),
                         lora_cfg=lora, vpt_cfg=vpt, adapter_cfg=adapter)
-    model.load(checkpoint)
-    return model
+    model.load(args.checkpoint)
+    return manifest, model, tuple(cfg.get("data", "bands")) or None
 
 
-def cmd_synth(cfg: ProjectConfig, args) -> int:
-    out = Path(args.out)
+def cmd_synth(cfg: ProjectConfig, args, out: Path) -> int:
     manifest = generate_synthetic(cfg.synthetic_config(), out / "dataset")
     cfg.set("data", "manifest", str(out / "dataset"))
-    cfg.write_resolved(out)
     sizes = {s: len(manifest.split_ids(s)) for s in ("train", "val", "test", "ghos")}
     print(f"dataset written to {out / 'dataset'}: {sizes}")
     return 0
 
 
-def cmd_split(cfg: ProjectConfig, args) -> int:
-    out = Path(args.out)
+def cmd_split(cfg: ProjectConfig, args, out: Path) -> int:
     manifest = cfg.load_manifest()
     s = cfg.values["split"]
     if args.buffer_km is not None:
@@ -100,13 +98,11 @@ def cmd_split(cfg: ProjectConfig, args) -> int:
     manifest.save()
     _write_json(out / "splits.json", result.assignment)
     _write_json(out / "split_report.json", result.report)
-    cfg.write_resolved(out)
     print(f"split sizes: {result.report.get('sizes')}")
     return 0
 
 
-def cmd_audit_splits(cfg: ProjectConfig, args) -> int:
-    out = Path(args.out)
+def cmd_audit_splits(cfg: ProjectConfig, args, out: Path) -> int:
     manifest = cfg.load_manifest()
     buffer_km = args.buffer_km if args.buffer_km is not None else cfg.get("split", "buffer_km")
     quotas = {"train": cfg.get("split", "train_quota"), "val": cfg.get("split", "val_quota"),
@@ -114,18 +110,15 @@ def cmd_audit_splits(cfg: ProjectConfig, args) -> int:
     report = audit_splits(manifest.samples, manifest.splits, buffer_km=buffer_km, quotas=quotas)
     _write_json(out / "audit.json", report)
     _write_flat_csv(out / "audit.csv", report)
-    cfg.write_resolved(out)
     min_km = report.get("min_cross_split_km")
     print(f"sizes {report['sizes']}  min cross-split distance "
           f"{min_km if min_km is not None else 'n/a'} km")
     return 0
 
 
-def cmd_train(cfg: ProjectConfig, args) -> int:
-    out = Path(args.out)
+def cmd_train(cfg: ProjectConfig, args, out: Path) -> int:
     run_cfg = cfg.run_config()
     result = train(run_cfg, verbose=not args.quiet)
-    out.mkdir(parents=True, exist_ok=True)
     result.model.save(out / "checkpoint")
     write_history_csv(result.history, out / "history.csv")
     metrics = {split: {k: v for k, v in m.items() if k != "confusion"}
@@ -138,41 +131,33 @@ def cmd_train(cfg: ProjectConfig, args) -> int:
         "trainable_params": result.parameter_report.trainable,
         "total_params": result.parameter_report.total,
     })
-    cfg.write_resolved(out)
     print(f"best epoch {result.best_epoch}  val mIoU {result.best_val_miou:.2f}  "
           f"artifacts in {out}")
     return 0
 
 
-def cmd_eval(cfg: ProjectConfig, args) -> int:
-    out = Path(args.out)
-    manifest = cfg.load_manifest()
-    model = _model_from_checkpoint(cfg, manifest, args.checkpoint)
-    bands = tuple(cfg.get("data", "bands")) or None
+def cmd_eval(cfg: ProjectConfig, args, out: Path) -> int:
+    manifest, model, bands = _checkpoint_inputs(cfg, args)
     metrics = evaluate(model, manifest, args.split,
                        batch_size=cfg.get("train", "batch_size"), bands=bands)
     payload = {k: v for k, v in metrics.items() if k != "confusion"}
     _write_json(out / f"eval_{args.split}.json", payload)
-    cfg.write_resolved(out)
     print(f"{args.split}: mIoU {metrics['miou']:.2f}  pixel acc {metrics['pixel_accuracy']:.4f}")
     return 0
 
 
-def cmd_sweep(cfg: ProjectConfig, args) -> int:
-    out = Path(args.out)
+def cmd_sweep(cfg: ProjectConfig, args, out: Path) -> int:
     run_cfg = cfg.run_config()
     best_lr, table = lr_search(run_cfg, trials=args.trials,
                                lr_range=(args.lr_min, args.lr_max),
                                budget_epochs=args.budget_epochs,
                                seed=cfg.get("train", "seed"))
     _write_json(out / "sweep.json", {"best_lr": best_lr, "trials": table})
-    cfg.write_resolved(out)
     print(f"best learning rate {best_lr:.3e} over {len(table)} trials")
     return 0
 
 
-def cmd_replicate(cfg: ProjectConfig, args) -> int:
-    out = Path(args.out)
+def cmd_replicate(cfg: ProjectConfig, args, out: Path) -> int:
     run_cfg = cfg.run_config()
     seeds = [int(s) for s in args.seeds.split(",")]
     result = run_replicates(run_cfg, seeds=seeds)
@@ -180,32 +165,23 @@ def cmd_replicate(cfg: ProjectConfig, args) -> int:
         "seeds": result.seeds,
         "rows": result.rows(),
     })
-    cfg.write_resolved(out)
     for row in result.rows():
         print(f"{row['metric']}: {row['mean']:.2f} +/- {row['std']:.2f}")
     return 0
 
 
-def cmd_embed(cfg: ProjectConfig, args) -> int:
-    out = Path(args.out)
-    manifest = cfg.load_manifest()
-    model = _model_from_checkpoint(cfg, manifest, args.checkpoint)
-    bands = tuple(cfg.get("data", "bands")) or None
+def cmd_embed(cfg: ProjectConfig, args, out: Path) -> int:
+    manifest, model, bands = _checkpoint_inputs(cfg, args)
     path = out / f"embeddings_{args.split}.csv"
     rows = diagnostics.export_embeddings(model, manifest, args.split, out_path=path, bands=bands)
-    cfg.write_resolved(out)
     print(f"wrote {len(rows)} embeddings to {path}")
     return 0
 
 
-def cmd_distances(cfg: ProjectConfig, args) -> int:
-    out = Path(args.out)
-    manifest = cfg.load_manifest()
-    model = _model_from_checkpoint(cfg, manifest, args.checkpoint)
-    bands = tuple(cfg.get("data", "bands")) or None
+def cmd_distances(cfg: ProjectConfig, args, out: Path) -> int:
+    manifest, model, bands = _checkpoint_inputs(cfg, args)
     report = diagnostics.distance_report(model, manifest, bands=bands)
     _write_json(out / "distances.json", report.as_dict())
-    cfg.write_resolved(out)
     parts = [f"val {report.val:.4f}", f"test {report.test:.4f}"]
     if report.ghos is not None:
         parts.append(f"ghos {report.ghos:.4f}")
@@ -213,8 +189,7 @@ def cmd_distances(cfg: ProjectConfig, args) -> int:
     return 0
 
 
-def cmd_report(cfg: ProjectConfig, args) -> int:
-    out = Path(args.out)
+def cmd_report(cfg: ProjectConfig, args, out: Path) -> int:
     backbone_cfg = cfg.backbone_config()
     num_classes = args.num_classes
     if num_classes is None:
@@ -229,7 +204,6 @@ def cmd_report(cfg: ProjectConfig, args) -> int:
         lora=lora, vpt=vpt, adapter=adapter,
         include_activations=not args.no_activations)
     _write_json(out / "report.json", {"configured_method": method, "rows": rows})
-    cfg.write_resolved(out)
     encoder = rows[0]["encoder_params"]
     print(f"encoder {diagnostics.format_param_display(encoder)}")
     for row in rows:
@@ -323,7 +297,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
-        return _COMMANDS[args.command](cfg, args)
+        out = Path(args.out)
+        code = _COMMANDS[args.command](cfg, args, out)
+        cfg.write_resolved(out)
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

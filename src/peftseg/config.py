@@ -10,7 +10,7 @@ beside its outputs so any run is reconstructible from that copy alone.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from .backbone import BackboneConfig
@@ -60,68 +60,59 @@ def _fmt(value, key: str = "") -> str:
     return str(value)
 
 
-# section -> key -> (parser, default); None default means required-when-used
+# Parser for each field annotation the file can set. Annotations are text
+# here because the config modules use ``from __future__ import annotations``.
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "bool": _parse_bool,
+    "tuple[str, ...]": _parse_csv,
+    "tuple[int, ...]": _parse_int_csv,
+    "tuple[int, int, int]": _parse_int_csv,
+    "tuple[int, int, int, int]": _parse_int_csv,
+    "tuple[int, int]": _parse_size,  # image_size, written HxW
+}
+
+# dataclass field -> config-file key, where the two names differ
+_FILE_KEYS = {"band_ids": "bands", "metadata_enabled": "metadata", "channels": "adapter_channels"}
+
+
+def _file_key(f) -> str:
+    return _FILE_KEYS.get(f.name, f.name)
+
+
+def _keys_of(*classes, skip=(), defaults=None) -> dict[str, tuple]:
+    """``key: (parser, default)`` for every field of ``classes`` with a parsable
+    annotation, except ``skip``; ``defaults`` covers fields that declare none."""
+    keys = {}
+    for cls in classes:
+        for f in fields(cls):
+            if f.name in skip or f.type not in _PARSERS:
+                continue
+            default = f.default if f.default is not MISSING else defaults[_file_key(f)]
+            keys[_file_key(f)] = (_PARSERS[f.type], default)
+    return keys
+
+
+# section -> key -> (parser, default).
+# Sections a dataclass fills take its fields' parsers and defaults.
 SCHEMA: dict[str, dict[str, tuple]] = {
-    "backbone": {
-        "embed_dim": (int, 64),
-        "depth": (int, 4),
-        "heads": (int, 4),
-        "patch_size": (int, 8),
-        "mlp_ratio": (float, 4.0),
-        "bands": (_parse_csv, ("blue", "green", "red", "nir", "swir1", "swir2")),
-        "image_size": (_parse_size, (64, 64)),
-        "tap_layers": (_parse_int_csv, ()),
-        "metadata": (_parse_bool, False),
-    },
+    "backbone": _keys_of(BackboneConfig, defaults={
+        "embed_dim": 64, "depth": 4, "heads": 4, "patch_size": 8,
+        "bands": ("blue", "green", "red", "nir", "swir1", "swir2"), "image_size": (64, 64),
+    }),
     "peft": {
-        "method": (str, "full_finetune"),
-        "rank": (int, 16),
-        "targets": (_parse_csv, ("attention-query", "attention-value", "mlp-fc1", "mlp-fc2")),
-        "scaling": (float, 1.0),
-        "prompts_per_layer": (int, 100),
-        "adapter_channels": (_parse_int_csv, (256, 256, 256)),
-        "injection_layers": (_parse_int_csv, ()),
+        "method": _keys_of(RunConfig)["method"],
+        **_keys_of(LoraConfig, VptConfig, VitAdapterConfig),
     },
-    "decoder": {
-        "kind": (str, "linear"),
-        "fcn_hidden": (int, 128),
-        "unet_widths": (_parse_int_csv, (256, 128, 64, 32)),
-        "ppm_scales": (_parse_int_csv, (1, 2, 3, 6)),
-        "upernet_channels": (int, 128),
-    },
+    "decoder": _keys_of(DecoderConfig, skip=("num_classes",), defaults={"kind": "linear"}),
     "data": {
         "manifest": (str, ""),
         "bands": (_parse_csv, ()),
     },
-    "train": {
-        "learning_rate": (float, 1e-3),
-        "batch_size": (int, 8),
-        "max_epochs": (int, 100),
-        "early_stop_patience": (int, 15),
-        "plateau_patience": (int, 4),
-        "plateau_factor": (float, 0.5),
-        "weight_decay": (float, 0.05),
-        "seed": (int, 0),
-    },
-    "synth": {
-        "regions": (_parse_csv, ("alps", "plains", "coast")),
-        "samples_per_region": (int, 30),
-        "ghos_samples": (int, 10),
-        "val_fraction": (float, 0.2),
-        "test_fraction": (float, 0.2),
-        "bands": (_parse_csv, ("blue", "green", "red", "nir", "swir1", "swir2")),
-        "extent": (int, 64),
-        "num_classes": (int, 2),
-        "noise": (float, 0.15),
-        "blobs_per_class": (int, 3),
-        "polarity_amplitude": (float, 1.0),
-        "linear_amplitude": (float, 0.2),
-        "region_jitter": (float, 0.02),
-        "ghos_offset": (float, 0.6),
-        "test_shift": (float, 0.15),
-        "informative_bands": (int, 0),
-        "seed": (int, 0),
-    },
+    "train": _keys_of(RunConfig, skip=("method",)),
+    "synth": _keys_of(SyntheticConfig),
     "split": {
         "builder": (str, "buffered"),
         "buffer_km": (float, 5.0),
@@ -219,30 +210,23 @@ class ProjectConfig:
 
     # -- typed views ---------------------------------------------------------
 
+    def _fields(self, section: str, cls) -> dict:
+        """The values of ``section`` that ``cls`` takes, by field name."""
+        values = self.values[section]
+        return {f.name: values[_file_key(f)] for f in fields(cls) if _file_key(f) in values}
+
     def backbone_config(self) -> BackboneConfig:
-        b = self.values["backbone"]
-        return BackboneConfig(
-            embed_dim=b["embed_dim"], depth=b["depth"], heads=b["heads"],
-            patch_size=b["patch_size"], band_ids=tuple(b["bands"]),
-            image_size=tuple(b["image_size"]), mlp_ratio=b["mlp_ratio"],
-            tap_layers=tuple(b["tap_layers"]), metadata_enabled=b["metadata"],
-        )
+        return BackboneConfig(**self._fields("backbone", BackboneConfig))
 
     def decoder_config(self, num_classes: int) -> DecoderConfig:
-        d = self.values["decoder"]
-        return DecoderConfig(kind=d["kind"], num_classes=num_classes,
-                             fcn_hidden=d["fcn_hidden"], unet_widths=tuple(d["unet_widths"]),
-                             ppm_scales=tuple(d["ppm_scales"]),
-                             upernet_channels=d["upernet_channels"])
+        return DecoderConfig(num_classes=num_classes, **self._fields("decoder", DecoderConfig))
 
     def peft_configs(self) -> tuple[str, LoraConfig, VptConfig, VitAdapterConfig]:
-        p = self.values["peft"]
         return (
-            normalize_policy(p["method"]),
-            LoraConfig(rank=p["rank"], targets=tuple(p["targets"]), scaling=p["scaling"]),
-            VptConfig(prompts_per_layer=p["prompts_per_layer"]),
-            VitAdapterConfig(channels=tuple(p["adapter_channels"]),
-                             injection_layers=tuple(p["injection_layers"])),
+            normalize_policy(self.values["peft"]["method"]),
+            LoraConfig(**self._fields("peft", LoraConfig)),
+            VptConfig(**self._fields("peft", VptConfig)),
+            VitAdapterConfig(**self._fields("peft", VitAdapterConfig)),
         )
 
     def load_manifest(self) -> DatasetManifest:
@@ -253,38 +237,18 @@ class ProjectConfig:
 
     def run_config(self, manifest: DatasetManifest | None = None) -> RunConfig:
         manifest = manifest or self.load_manifest()
-        t = self.values["train"]
         method, lora, vpt, adapter = self.peft_configs()
-        bands = tuple(self.values["data"]["bands"]) or None
         return RunConfig(
             backbone=self.backbone_config(),
             decoder=self.decoder_config(manifest.num_classes),
             manifest=manifest,
             method=method,
-            learning_rate=t["learning_rate"],
-            batch_size=t["batch_size"],
-            max_epochs=t["max_epochs"],
-            early_stop_patience=t["early_stop_patience"],
-            plateau_patience=t["plateau_patience"],
-            plateau_factor=t["plateau_factor"],
-            weight_decay=t["weight_decay"],
-            seed=t["seed"],
-            bands=bands,
+            bands=tuple(self.values["data"]["bands"]) or None,
             lora=lora,
             vpt=vpt,
             adapter=adapter,
+            **self._fields("train", RunConfig),
         )
 
     def synthetic_config(self) -> SyntheticConfig:
-        s = self.values["synth"]
-        return SyntheticConfig(
-            regions=tuple(s["regions"]), samples_per_region=s["samples_per_region"],
-            ghos_samples=s["ghos_samples"], val_fraction=s["val_fraction"],
-            test_fraction=s["test_fraction"], bands=tuple(s["bands"]), extent=s["extent"],
-            num_classes=s["num_classes"], noise=s["noise"],
-            blobs_per_class=s["blobs_per_class"],
-            polarity_amplitude=s["polarity_amplitude"],
-            linear_amplitude=s["linear_amplitude"], region_jitter=s["region_jitter"],
-            ghos_offset=s["ghos_offset"], test_shift=s["test_shift"],
-            informative_bands=s["informative_bands"], seed=s["seed"],
-        )
+        return SyntheticConfig(**self._fields("synth", SyntheticConfig))

@@ -68,10 +68,6 @@ class SyntheticConfig:
     def ghos_region(self) -> str:
         return self.regions[-1]
 
-    @property
-    def train_regions(self) -> tuple[str, ...]:
-        return self.regions[:-1]
-
 
 def _unit(rng: np.random.Generator, dim: int) -> np.ndarray:
     v = rng.normal(size=dim)

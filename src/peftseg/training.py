@@ -38,8 +38,6 @@ class RunConfig:
     early_stop_patience: int = 15
     plateau_patience: int = 4
     plateau_factor: float = 0.5
-    beta1: float = 0.9
-    beta2: float = 0.999
     weight_decay: float = 0.05
     seed: int = 0
     bands: tuple[str, ...] | None = None
@@ -220,14 +218,9 @@ def _eval_pass(model: SegmentationModel, samples, batch_size: int,
     return loss_total / max(weight_total, 1), cm
 
 
-def evaluate(model: SegmentationModel, manifest: DatasetManifest, split: str,
-             batch_size: int = 8, bands=None) -> dict:
-    """Confusion-matrix metrics over a whole split."""
-    samples = load_split(manifest, split, bands, model.backbone.cfg.image_size)
-    if model.decoder_cfg.num_classes != manifest.num_classes:
-        raise ConfigError(f"model has {model.decoder_cfg.num_classes} classes, "
-                          f"dataset has {manifest.num_classes}")
-    loss, cm = _eval_pass(model, samples, batch_size, manifest.num_classes)
+def _split_metrics(model: SegmentationModel, samples, batch_size: int, num_classes: int) -> dict:
+    """Confusion-matrix metrics over loaded samples."""
+    loss, cm = _eval_pass(model, samples, batch_size, num_classes)
     return {
         "miou": miou(cm),
         "per_class_iou": per_class_iou(cm).tolist(),
@@ -235,6 +228,16 @@ def evaluate(model: SegmentationModel, manifest: DatasetManifest, split: str,
         "loss": loss,
         "confusion": cm.matrix.tolist(),
     }
+
+
+def evaluate(model: SegmentationModel, manifest: DatasetManifest, split: str,
+             batch_size: int = 8, bands=None) -> dict:
+    """Confusion-matrix metrics over a whole split."""
+    samples = load_split(manifest, split, bands, model.backbone.cfg.image_size)
+    if model.decoder_cfg.num_classes != manifest.num_classes:
+        raise ConfigError(f"model has {model.decoder_cfg.num_classes} classes, "
+                          f"dataset has {manifest.num_classes}")
+    return _split_metrics(model, samples, batch_size, manifest.num_classes)
 
 
 def train(cfg: RunConfig, verbose: bool = False) -> RunResult:
@@ -249,7 +252,7 @@ def train(cfg: RunConfig, verbose: bool = False) -> RunResult:
     model = build_model(cfg.backbone, cfg.decoder, cfg.method, seed=cfg.seed,
                         lora_cfg=cfg.lora, vpt_cfg=cfg.vpt, adapter_cfg=cfg.adapter)
     optimizer = AdamW(list(model.trainable_parameters()), lr=cfg.learning_rate,
-                      beta1=cfg.beta1, beta2=cfg.beta2, weight_decay=cfg.weight_decay)
+                      weight_decay=cfg.weight_decay)
     scheduler = ReduceOnPlateau(optimizer, patience=cfg.plateau_patience, factor=cfg.plateau_factor)
     stopper = EarlyStopping(patience=cfg.early_stop_patience)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 17]))
@@ -302,7 +305,7 @@ def train(cfg: RunConfig, verbose: bool = False) -> RunResult:
             break
 
     model.restore(best_state)
-    final = {"val": evaluate(model, manifest, "val", cfg.batch_size, cfg.bands)}
+    final = {"val": _split_metrics(model, val_samples, cfg.batch_size, manifest.num_classes)}
     if manifest.has_split("test"):
         final["test"] = evaluate(model, manifest, "test", cfg.batch_size, cfg.bands)
     if manifest.has_split("ghos"):

@@ -1,9 +1,12 @@
 """Backward rules: hand oracles, central-difference checks, tape invariants."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from peftseg.autodiff import Tensor, backward, functional as F, grad_check, no_grad, trace
+from peftseg.autodiff.tensor import Node
 from peftseg.errors import ShapeError
 
 RNG = np.random.default_rng(1234)
@@ -219,3 +222,18 @@ def test_second_backward_accumulates_into_grad():
     loss2 = F.sum(F.mul(x, x))
     backward(loss2)
     np.testing.assert_allclose(x.grad, 2 * first)
+
+
+def test_tape_is_freed_without_the_cyclic_collector():
+    gc.disable()
+    try:
+        x = Tensor(np.array([1.0, -2.0], dtype=np.float32), requires_grad=True)
+        loss = F.sum(F.mul(F.scale(x, 3.0), x))
+        indices = {node.index for node in trace(loss).nodes}
+        backward(loss)
+        del loss
+        alive = [obj for obj in gc.get_objects() if isinstance(obj, Node) and obj.index in indices]
+    finally:
+        gc.enable()
+    assert len(indices) == 3
+    assert alive == []

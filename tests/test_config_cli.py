@@ -5,9 +5,16 @@ import json
 
 import pytest
 
+from peftseg.backbone import BackboneConfig
+from peftseg import cli
 from peftseg.cli import main
 from peftseg.config import ProjectConfig
+from peftseg.data import DatasetManifest
+from peftseg.decoders import DecoderConfig
 from peftseg.errors import ConfigError
+from peftseg.peft import LoraConfig, VitAdapterConfig, VptConfig
+from peftseg.synthetic import SyntheticConfig
+from peftseg.training import RunConfig
 
 CFG_TEXT = """\
 # tiny run for tests
@@ -103,6 +110,37 @@ def test_defaults_fill_missing_sections():
     assert cfg.get("train", "seed") == 7
     assert cfg.get("train", "plateau_patience") == 4
     assert cfg.get("backbone", "embed_dim") == 64
+
+
+def test_default_views_equal_dataclass_defaults():
+    cfg = ProjectConfig()
+    desk = BackboneConfig(embed_dim=64, depth=4, heads=4, patch_size=8,
+                          band_ids=("blue", "green", "red", "nir", "swir1", "swir2"),
+                          image_size=(64, 64))
+    manifest = DatasetManifest(root=".", num_classes=3, class_names=["a", "b", "c"],
+                               bands=desk.band_ids, band_stats={}, samples=[])
+    assert cfg.backbone_config() == desk
+    assert cfg.peft_configs() == ("full_finetune", LoraConfig(), VptConfig(), VitAdapterConfig())
+    assert cfg.synthetic_config() == SyntheticConfig()
+    assert cfg.run_config(manifest) == RunConfig(
+        backbone=desk, decoder=DecoderConfig("linear", 3), manifest=manifest,
+        lora=LoraConfig(), vpt=VptConfig(), adapter=VitAdapterConfig())
+
+
+@pytest.mark.parametrize("section, line, view, expected", [
+    ("backbone", "tap_layers = 1, 2, 3, 4", lambda c: c.backbone_config().tap_layers, (1, 2, 3, 4)),
+    ("peft", "injection_layers = 2", lambda c: c.peft_configs()[3].injection_layers, (2,)),
+    ("backbone", "metadata = yes", lambda c: c.backbone_config().metadata_enabled, True),
+    ("backbone", "image_size = 32x32", lambda c: c.backbone_config().image_size, (32, 32)),
+    ("decoder", "ppm_scales = 1, 2", lambda c: c.decoder_config(2).ppm_scales, (1, 2)),
+    ("synth", "val_fraction = 0.3", lambda c: c.synthetic_config().val_fraction, 0.3),
+])
+def test_each_parser_kind_reaches_its_view(section, line, view, expected):
+    value = view(ProjectConfig.parse(f"[{section}]\n{line}\n"))
+    assert value == expected
+    assert type(value) is type(expected)
+    if isinstance(value, tuple):
+        assert all(type(v) is type(e) for v, e in zip(value, expected))
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +246,17 @@ def test_replicate_command(cli_workspace):
     assert payload["seeds"] == [0, 1]
     metrics = {row["metric"] for row in payload["rows"]}
     assert "val_miou" in metrics and "test_miou" in metrics
+
+
+def test_every_command_writes_resolved_copy(tmp_path, monkeypatch):
+    cfg_path = write_cfg(tmp_path)
+    expected = ProjectConfig.load(cfg_path).values
+    for name in cli._COMMANDS:
+        monkeypatch.setitem(cli._COMMANDS, name, lambda cfg, args, out: 0)
+        extra = ["--checkpoint", "ckpt"] if name in ("eval", "embed", "distances") else []
+        out = tmp_path / name
+        assert main([name, "--config", str(cfg_path), "--out", str(out), *extra]) == 0
+        assert ProjectConfig.load(out / "resolved.cfg").values == expected
 
 
 def test_invalid_config_exits_2(tmp_path):
