@@ -79,10 +79,12 @@ def cmd_synth(cfg: ProjectConfig, args, out: Path) -> int:
 
 def cmd_split(cfg: ProjectConfig, args, out: Path) -> int:
     manifest = cfg.load_manifest()
-    s = cfg.values["split"]
     if args.buffer_km is not None:
-        s["buffer_km"] = args.buffer_km
-    builder = args.builder or s["builder"]
+        cfg.set("split", "buffer_km", args.buffer_km)
+    if args.builder is not None:
+        cfg.set("split", "builder", args.builder)
+    s = cfg.values["split"]
+    builder = s["builder"]
     if builder == "buffered":
         ratios = dict(zip(("train", "val", "test"), s["ratios"]))
         result = build_buffered_spatial_splits(manifest.samples, buffer_km=s["buffer_km"],
@@ -104,7 +106,9 @@ def cmd_split(cfg: ProjectConfig, args, out: Path) -> int:
 
 def cmd_audit_splits(cfg: ProjectConfig, args, out: Path) -> int:
     manifest = cfg.load_manifest()
-    buffer_km = args.buffer_km if args.buffer_km is not None else cfg.get("split", "buffer_km")
+    if args.buffer_km is not None:
+        cfg.set("split", "buffer_km", args.buffer_km)
+    buffer_km = cfg.get("split", "buffer_km")
     quotas = {"train": cfg.get("split", "train_quota"), "val": cfg.get("split", "val_quota"),
               "test": cfg.get("split", "test_quota"), "ghos": cfg.get("split", "ghos_quota")}
     report = audit_splits(manifest.samples, manifest.splits, buffer_km=buffer_km, quotas=quotas)

@@ -13,6 +13,10 @@ class UnknownPrimitiveError(EngineError):
     """A primitive identifier is not registered."""
 
 
+class GraphConsumedError(EngineError):
+    """A backward pass reached a graph that an earlier backward consumed."""
+
+
 class GradCheckError(EngineError):
     """Gradient checking hit a non-finite intermediate value."""
 
@@ -38,7 +42,7 @@ class CheckpointError(EngineError):
 
 
 class TrainingDivergedError(EngineError):
-    """Training produced a non-finite loss; carries epoch/batch context."""
+    """Training produced a non-finite loss or gradient; carries epoch/batch context."""
 
     def __init__(self, message: str, epoch: int | None = None, batch: int | None = None):
         super().__init__(message)

@@ -277,6 +277,12 @@ def train(cfg: RunConfig, verbose: bool = False) -> RunResult:
                     epoch=epoch, batch=batch_no)
             optimizer.zero_grad()
             backward(loss)
+            bad = next((name for name, t in optimizer.params
+                        if t.grad is not None and not np.isfinite(t.grad).all()), None)
+            if bad is not None:
+                raise TrainingDivergedError(
+                    f"non-finite gradient for {bad} at epoch {epoch}, batch {batch_no}",
+                    epoch=epoch, batch=batch_no)
             optimizer.step()
             loss_total += loss_value * len(idx)
             weight_total += len(idx)

@@ -1,13 +1,16 @@
 """Backward rules: hand oracles, central-difference checks, tape invariants."""
 
 import gc
+import weakref
 
 import numpy as np
 import pytest
 
 from peftseg.autodiff import Tensor, backward, functional as F, grad_check, no_grad, trace
+from peftseg.autodiff.primitives import (_REGISTRY, _conv2d_core, _conv2d_grad_w,
+                                         _conv2d_grad_x)
 from peftseg.autodiff.tensor import Node
-from peftseg.errors import ShapeError
+from peftseg.errors import EngineError, GraphConsumedError, ShapeError
 
 RNG = np.random.default_rng(1234)
 
@@ -237,3 +240,110 @@ def test_tape_is_freed_without_the_cyclic_collector():
         gc.enable()
     assert len(indices) == 3
     assert alive == []
+
+
+def test_backward_frees_intermediates_while_root_lives():
+    x = Tensor(np.array([1.0, -2.0], dtype=np.float32), requires_grad=True)
+    y = F.mul(x, x)
+    y_ref = weakref.ref(y)
+    loss = F.sum(F.scale(y, 3.0))
+    nodes = trace(loss).nodes
+    del y
+    grads = backward(loss)
+    np.testing.assert_allclose(grads[x], [6.0, -12.0])
+    assert y_ref() is None
+    assert all(node.inputs == () and node.backward_fn is None for node in nodes)
+
+
+def test_second_backward_through_consumed_graph_raises():
+    x = Tensor(np.array([1.0, -2.0], dtype=np.float32), requires_grad=True)
+    shared = F.mul(x, x)
+    loss = F.sum(shared)
+    other = F.sum(F.scale(shared, 2.0))
+    backward(loss)
+    grad = x.grad.copy()
+    for root in (loss, other):
+        with pytest.raises(GraphConsumedError):
+            backward(root)
+    assert issubclass(GraphConsumedError, EngineError)
+    np.testing.assert_array_equal(x.grad, grad)
+
+
+# ---------------------------------------------------------------------------
+# conv backward: float32 subnormals are flushed to zero at the rule's edges
+
+_CONV_SHAPES = {"conv2d": ((2, 3, 6, 6), (4, 3, 3, 3)),
+                "conv_transpose2d": ((2, 4, 3, 3), (4, 3, 3, 3))}
+_CONV_ATTRS = {"stride": 2, "padding": 1}
+
+
+def _is_subnormal(a):
+    mag = np.abs(a)
+    return (mag > 0) & (mag < np.finfo(np.float32).tiny)
+
+
+def _flushed(a):
+    return np.where(_is_subnormal(a), np.float32(0), a)
+
+
+def _conv_case(op, seed, x_scale, w_scale, g_scale, dtype=np.float32):
+    rng = np.random.default_rng(seed)
+    x_shape, w_shape = _CONV_SHAPES[op]
+    x = (rng.normal(size=x_shape) * x_scale).astype(dtype)
+    w = (rng.normal(size=w_shape) * w_scale).astype(dtype)
+    y, _ = _REGISTRY[op].forward([x, w], _CONV_ATTRS)
+    g = (rng.normal(size=y.shape) * g_scale).astype(dtype)
+    return x, w, g, rng
+
+
+def _conv_rule(op, x, w, g):
+    return _REGISTRY[op].backward([x, w], _CONV_ATTRS, None, g, (True, True))
+
+
+def _conv_kernels(op, x, w, g):
+    """The rule's (gx, gw) computed by the unflushed kernels."""
+    s, p = _CONV_ATTRS["stride"], _CONV_ATTRS["padding"]
+    if op == "conv2d":
+        return _conv2d_grad_x(g, w, s, p, x.shape), _conv2d_grad_w(x, g, s, p, w.shape)
+    return _conv2d_core(g, w, s, p), _conv2d_grad_w(g, x, s, p, w.shape)
+
+
+@pytest.mark.parametrize("op", sorted(_CONV_SHAPES))
+def test_conv_backward_flushes_subnormal_upstream_gradient(op):
+    x, w, g, rng = _conv_case(op, 5, 1.0, 1.0, 1e-35)
+    g[rng.random(g.shape) < 0.2] = np.float32(-1e-39)
+    assert _is_subnormal(g).any()
+    for got, raw, want in zip(_conv_rule(op, x, w, g), _conv_kernels(op, x, w, g),
+                              _conv_kernels(op, x, w, _flushed(g))):
+        assert not np.array_equal(raw, want)  # the subnormals reach the output bits
+        assert not _is_subnormal(got).any()
+        np.testing.assert_array_equal(got, _flushed(want))
+
+
+@pytest.mark.parametrize("op", sorted(_CONV_SHAPES))
+def test_conv_backward_flushes_subnormal_results(op):
+    x, w, g, _ = _conv_case(op, 6, 1e-5, 1e-5, 1e-33)
+    assert not _is_subnormal(g).any()
+    for got, raw in zip(_conv_rule(op, x, w, g), _conv_kernels(op, x, w, g)):
+        assert _is_subnormal(raw).any() and (np.abs(raw) >= np.finfo(np.float32).tiny).any()
+        assert not _is_subnormal(got).any()
+        np.testing.assert_array_equal(got, _flushed(raw))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("op", sorted(_CONV_SHAPES))
+@pytest.mark.parametrize("case", ["finite", "nan_inf", "float64_tiny"])
+def test_conv_backward_without_float32_subnormals_is_the_kernels(op, case):
+    if case == "float64_tiny":  # far below float32's range, still normal in float64
+        x, w, g, _ = _conv_case(op, 7, 1e-20, 1e-20, 1e-20, dtype=np.float64)
+    else:
+        x, w, g, _ = _conv_case(op, 7, 1.0, 1.0, 1.0)
+    if case == "nan_inf":
+        g[0, 0, 0, 0], g[1, 1, 1, 1], g[0, 1, 2, 2] = np.nan, np.inf, -np.inf
+    for got, raw in zip(_conv_rule(op, x, w, g), _conv_kernels(op, x, w, g)):
+        assert got.dtype == raw.dtype
+        assert got.tobytes() == raw.tobytes()
+    if case == "nan_inf":
+        assert all(np.isnan(got).any() for got in _conv_rule(op, x, w, g))
+    if case == "float64_tiny":
+        assert all((np.abs(got) < np.finfo(np.float32).tiny).any() for got in _conv_rule(op, x, w, g))

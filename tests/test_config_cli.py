@@ -2,6 +2,7 @@
 
 import csv
 import json
+import shutil
 
 import pytest
 
@@ -217,6 +218,22 @@ def test_split_and_audit(cli_workspace):
     audit = json.loads((root / "audit" / "audit.json").read_text())
     assert audit["buffer_respected"] is True
     assert audit["unassigned"] == []
+
+
+def test_split_overrides_reach_resolved_copy(cli_workspace, tmp_path):
+    root, _ = cli_workspace
+    shutil.copytree(root / "ds" / "dataset", tmp_path / "dataset")
+    cfg_path = write_cfg(tmp_path, CFG_TEXT + f"\n[data]\nmanifest = {tmp_path / 'dataset'}\n"
+                         "\n[split]\ntrain_quota = 4\nval_quota = 2\ntest_quota = 2\nghos_quota = 2\n")
+    assert main(["split", "--config", str(cfg_path), "--out", str(tmp_path / "sp"),
+                 "--builder", "balanced"]) == 0
+    resolved = ProjectConfig.load(tmp_path / "sp" / "resolved.cfg")
+    assert resolved.get("split", "builder") == "balanced"
+    assert main(["audit-splits", "--config", str(cfg_path), "--out", str(tmp_path / "audit"),
+                 "--buffer-km", "40"]) == 0
+    resolved = ProjectConfig.load(tmp_path / "audit" / "resolved.cfg")
+    assert resolved.get("split", "buffer_km") == 40.0
+    assert json.loads((tmp_path / "audit" / "audit.json").read_text())["buffer_km"] == 40.0
 
 
 def test_report_counts(cli_workspace):

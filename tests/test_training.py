@@ -179,6 +179,32 @@ def test_diverged_loss_aborts_with_context(mini_manifest):
     assert err.value.epoch is not None and err.value.batch is not None
 
 
+def test_non_finite_gradient_aborts_before_the_step(mini_manifest, monkeypatch):
+    from peftseg import training
+    built, poisoned, real_backward = [], [], training.backward
+
+    def capture_model(*args, **kwargs):
+        built.append(build_model(*args, **kwargs))
+        return built[-1]
+
+    def poisoned_backward(loss):
+        grads = real_backward(loss)
+        name, tensor = list(built[0].trainable_parameters())[-1]
+        tensor.grad[(0,) * tensor.grad.ndim] = np.nan
+        poisoned.append((name, tensor.data.copy()))
+        return grads
+
+    monkeypatch.setattr(training, "build_model", capture_model)
+    monkeypatch.setattr(training, "backward", poisoned_backward)
+    with pytest.raises(TrainingDivergedError) as err:
+        train(mini_run(mini_manifest))
+    (name, before), = poisoned
+    assert f"non-finite gradient for {name} " in str(err.value)
+    assert (err.value.epoch, err.value.batch) == (1, 0)
+    params = dict(built[0].trainable_parameters())
+    np.testing.assert_array_equal(params[name].data, before)  # no step was taken
+
+
 def test_empty_train_split_rejected(mini_manifest):
     import copy
     manifest = copy.copy(mini_manifest)
