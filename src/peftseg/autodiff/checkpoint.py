@@ -9,6 +9,7 @@ manifest order. Round-trips are bit-exact.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -58,22 +59,40 @@ def load_checkpoint(directory) -> dict[str, np.ndarray]:
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
         entries = manifest["tensors"]
-    except (json.JSONDecodeError, KeyError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise CheckpointError(f"corrupt manifest in {directory}: {exc}") from exc
+    if not isinstance(entries, list):
+        raise CheckpointError(f"corrupt manifest in {directory}: 'tensors' is not a list")
 
     raw = weights_path.read_bytes()
     out: dict[str, np.ndarray] = {}
+    end = 0  # tensors lie back to back in manifest order
     for entry in entries:
-        name = entry["name"]
-        if entry["dtype"] != "f32":
-            raise CheckpointError(f"tensor {name!r} has unsupported dtype {entry['dtype']!r}")
-        start, length = entry["offset"], entry["length"]
+        try:
+            name, dtype, shape = entry["name"], entry["dtype"], tuple(entry["shape"])
+            start, length = entry["offset"], entry["length"]
+        except (KeyError, TypeError) as exc:
+            raise CheckpointError(f"corrupt manifest entry in {directory}: {entry!r} ({exc!r})") from exc
+        if not isinstance(name, str):
+            raise CheckpointError(f"tensor name {name!r} is not a string")
+        if name in out:
+            raise CheckpointError(f"tensor {name!r} is listed twice")
+        if dtype != "f32":
+            raise CheckpointError(f"tensor {name!r} has unsupported dtype {dtype!r}")
+        if not all(isinstance(v, int) and v >= 0 for v in (start, length, *shape)):
+            raise CheckpointError(f"tensor {name!r}: offset, length and shape must be "
+                                  f"non-negative integers, got {start!r}, {length!r}, {list(shape)}")
+        if start != end:
+            raise CheckpointError(f"tensor {name!r} starts at byte {start}, but the tensors "
+                                  f"before it end at byte {end}")
         if start + length > len(raw):
             raise CheckpointError(f"tensor {name!r} extends past end of weights.bin")
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)
         if count * 4 != length:
             raise CheckpointError(f"tensor {name!r}: shape {shape} disagrees with byte length {length}")
         arr = np.frombuffer(raw, dtype=_DTYPE, count=count, offset=start)
         out[name] = arr.reshape(shape).astype(np.float32)
+        end = start + length
+    if end != len(raw):
+        raise CheckpointError(f"weights.bin holds {len(raw) - end} bytes after its last tensor")
     return out

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import erf
 
 from ..errors import ShapeError, UnknownPrimitiveError
-from .tensor import Node, Tensor, grad_enabled
+from .tensor import HEAP_ARRAY_BYTES, Node, Tensor, grad_enabled
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT_2PI = 0.3989422804014327
@@ -415,10 +415,20 @@ def _batch_norm2d_bwd(datas, attrs, ctx, g, needs):
 # ---------------------------------------------------------------------------
 # convolution cores
 #
-# _conv_windows extracts strided sliding windows; the three cores below are
-# the forward map, its adjoint in x, and its adjoint in w. conv_transpose2d
-# reuses the adjoint as its forward, which makes the conv/conv-transpose
-# adjoint identity hold by construction.
+# The three cores below are the forward map, its adjoint in x, and its
+# adjoint in w. conv_transpose2d reuses the adjoint as its forward, which
+# makes the conv/conv-transpose adjoint identity hold by construction.
+#
+# Each core is im2col + GEMM (Chellapilla et al., 2006), built one chunk at a
+# time so the columns stay under HEAP_ARRAY_BYTES, the size above which the
+# allocator maps fresh pages for every call; a larger single unit runs alone.
+# The forward map and its adjoint in x chunk images: columns are
+# (b, C*kh*kw, Ho*Wo) with rows in (c, u, v) order, so each GEMM reads and
+# writes NCHW directly, and each covers one image, so an image's result does
+# not depend on the batch it came in. The adjoint in w sums over the batch
+# anyway; it chunks channels and contracts each chunk's (c, u, v) rows with
+# the whole batch's (b, i, j) columns in one GEMM, which gives the bits of a
+# single full-batch GEMM.
 #
 # Both conv backward rules flush float32 subnormals to zero in the upstream
 # gradient and in what they return. A softmax-times-1/pixels gradient can
@@ -438,37 +448,94 @@ def _flush_subnormals(a):
     return np.where(sub, np.float32(0), a) if sub.any() else a
 
 
-def _conv_windows(x, kh, kw, stride, padding):
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    if x.shape[2] < kh or x.shape[3] < kw:
-        raise ShapeError(f"conv2d: kernel ({kh},{kw}) larger than padded input {x.shape}")
-    win = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
+def _conv_windows(x, k, stride):
+    win = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
     return win[:, :, ::stride, ::stride]
 
 
+def _conv_out_hw(h, w, kh, kw, stride, padding):
+    return (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1
+
+
+def _chunks(n, unit_bytes):
+    """Slices of ``n`` images or channels whose im2col columns, ``unit_bytes``
+    each, stay under HEAP_ARRAY_BYTES (one unit at least)."""
+    step = max(1, (HEAP_ARRAY_BYTES - 1) // max(1, unit_bytes))
+    return [slice(i, i + step) for i in range(0, n, step)]
+
+
+def _taps(x, kh, kw, stride, padding, ho, wo):
+    """Yield (u, v, view): the (b, c, ho, wo) inputs that kernel tap (u, v) multiplies."""
+    if padding:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    for u in range(kh):
+        for v in range(kw):
+            yield u, v, x[:, :, u:u + ho * stride:stride, v:v + wo * stride:stride]
+
+
+def _image_cols(x, kh, kw, stride, padding, ho, wo):
+    """(b, C*kh*kw, ho*wo) columns of a chunk of images, rows in (c, u, v) order."""
+    b, c = x.shape[:2]
+    cols = np.empty((b, c, kh, kw, ho, wo), dtype=x.dtype)
+    for u, v, tap in _taps(x, kh, kw, stride, padding, ho, wo):
+        cols[:, :, u, v] = tap
+    return cols.reshape(b, c * kh * kw, ho * wo)
+
+
+def _channel_cols(x, kh, kw, stride, padding, ho, wo):
+    """(C*kh*kw, B*ho*wo) columns of a chunk of channels across the batch,
+    rows in (c, u, v) order and columns in (b, i, j) order."""
+    b, c = x.shape[:2]
+    cols = np.empty((c, kh, kw, b, ho, wo), dtype=x.dtype)
+    for u, v, tap in _taps(x, kh, kw, stride, padding, ho, wo):
+        cols[:, u, v] = tap.transpose(1, 0, 2, 3)
+    return cols.reshape(c * kh * kw, b * ho * wo)
+
+
+def _col2im(cols, x_shape, kh, kw, stride, padding):
+    """Sum (b, C*kh*kw, ho*wo) columns back onto the (b, C, H, W) inputs they came from."""
+    _, c, h, wd = x_shape
+    b, ho, wo = cols.shape[0], *_conv_out_hw(h, wd, kh, kw, stride, padding)
+    cols = cols.reshape(b, c, kh, kw, ho, wo)
+    gxp = np.zeros((b, c, h + 2 * padding, wd + 2 * padding), dtype=cols.dtype)
+    for u in range(kh):
+        for v in range(kw):
+            gxp[:, :, u:u + ho * stride:stride, v:v + wo * stride:stride] += cols[:, :, u, v]
+    return gxp[:, :, padding:padding + h, padding:padding + wd]
+
+
 def _conv2d_core(x, w, stride, padding):
-    win = _conv_windows(x, w.shape[2], w.shape[3], stride, padding)
-    return np.einsum("bcijuv,ocuv->boij", win, w, optimize=True)
+    b, c, h, wd = x.shape
+    o, _, kh, kw = w.shape
+    ho, wo = _conv_out_hw(h, wd, kh, kw, stride, padding)
+    w2 = w.reshape(o, c * kh * kw)
+    out = np.empty((b, o, ho * wo), dtype=np.result_type(x, w))
+    for part in _chunks(b, w2.shape[1] * ho * wo * x.itemsize):
+        np.matmul(w2, _image_cols(x[part], kh, kw, stride, padding, ho, wo), out=out[part])
+    return out.reshape(b, o, ho, wo)
 
 
 def _conv2d_grad_x(gy, w, stride, padding, x_shape):
-    b, c, h, wd = x_shape
+    b, c = x_shape[:2]
     o, _, kh, kw = w.shape
     ho, wo = gy.shape[2], gy.shape[3]
-    contrib = np.einsum("boij,ocuv->bcijuv", gy, w, optimize=True)
-    gxp = np.zeros((b, c, h + 2 * padding, wd + 2 * padding), dtype=contrib.dtype)
-    for u in range(kh):
-        for v in range(kw):
-            gxp[:, :, u:u + ho * stride:stride, v:v + wo * stride:stride] += contrib[:, :, :, :, u, v]
-    if padding:
-        gxp = gxp[:, :, padding:-padding, padding:-padding]
-    return np.ascontiguousarray(gxp)
+    w2t = w.reshape(o, c * kh * kw).T
+    g2 = gy.reshape(b, o, ho * wo)
+    gx = np.empty(x_shape, dtype=np.result_type(gy, w))
+    for part in _chunks(b, w2t.shape[0] * ho * wo * gx.itemsize):
+        gx[part] = _col2im(np.matmul(w2t, g2[part]), x_shape, kh, kw, stride, padding)
+    return gx
 
 
 def _conv2d_grad_w(x, gy, stride, padding, w_shape):
-    win = _conv_windows(x, w_shape[2], w_shape[3], stride, padding)
-    return np.einsum("bcijuv,boij->ocuv", win, gy, optimize=True)
+    o, c, kh, kw = w_shape
+    b, ho, wo = x.shape[0], gy.shape[2], gy.shape[3]
+    g2 = gy.transpose(0, 2, 3, 1).reshape(b * ho * wo, o)
+    gw = np.empty((c, kh, kw, o), dtype=np.result_type(x, gy))
+    for part in _chunks(c, kh * kw * b * ho * wo * x.itemsize):
+        np.matmul(_channel_cols(x[:, part], kh, kw, stride, padding, ho, wo), g2,
+                  out=gw[part].reshape(-1, o))
+    return gw.transpose(3, 0, 1, 2)
 
 
 def _conv2d_fwd(datas, attrs):
@@ -477,7 +544,10 @@ def _conv2d_fwd(datas, attrs):
         raise _shape_err("conv2d", "input must be (B,C,H,W), kernel (O,C,kh,kw)", x.shape, w.shape)
     if x.shape[1] != w.shape[1]:
         raise _shape_err("conv2d", "channel mismatch", x.shape, w.shape)
-    return _conv2d_core(x, w, attrs.get("stride", 1), attrs.get("padding", 0)), None
+    s, p = attrs.get("stride", 1), attrs.get("padding", 0)
+    if x.shape[2] + 2 * p < w.shape[2] or x.shape[3] + 2 * p < w.shape[3]:
+        raise _shape_err("conv2d", f"kernel larger than input padded by {p}", x.shape, w.shape)
+    return _conv2d_core(x, w, s, p), None
 
 
 def _conv2d_bwd(datas, attrs, ctx, g, needs):
@@ -596,7 +666,7 @@ def _avg_pool2d_fwd(datas, attrs):
     x = datas[0]
     k, s = attrs["kernel"], attrs.get("stride", attrs["kernel"])
     _pool_check("avg_pool2d", x, k, s)
-    win = _conv_windows(x, k, k, s, 0)
+    win = _conv_windows(x, k, s)
     return win.mean(axis=(-2, -1)), None
 
 
@@ -616,7 +686,7 @@ def _max_pool2d_fwd(datas, attrs):
     x = datas[0]
     k, s = attrs["kernel"], attrs.get("stride", attrs["kernel"])
     _pool_check("max_pool2d", x, k, s)
-    win = _conv_windows(x, k, k, s, 0)
+    win = _conv_windows(x, k, s)
     b, c, ho, wo = win.shape[:4]
     flat = win.reshape(b, c, ho, wo, k * k)
     arg = flat.argmax(axis=-1)

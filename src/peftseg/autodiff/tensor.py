@@ -24,6 +24,8 @@ _node_counter = itertools.count()
 _state = threading.local()
 
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc mallopt parameters
+# Arrays smaller than this come from the heap, larger ones from fresh pages.
+HEAP_ARRAY_BYTES = 32 << 20
 
 
 def _keep_freed_pages_mapped() -> None:
@@ -34,15 +36,15 @@ def _keep_freed_pages_mapped() -> None:
     adaptive defaults the freed top of the heap goes back to the system and
     the next pass faults it in again page by page: a 32-sample evaluation
     after training in the same process took about 7,000 page faults and ran
-    about a quarter slower. With the settings below, arrays under 32 MB come
-    from the heap and up to 256 MB of free heap is kept. A no-op where the C
-    library has no ``mallopt``.
+    about a quarter slower. With the settings below, arrays under
+    ``HEAP_ARRAY_BYTES`` (32 MB) come from the heap and up to 256 MB of free
+    heap is kept. A no-op where the C library has no ``mallopt``.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, TypeError, AttributeError):
         return
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_MMAP_THRESHOLD, HEAP_ARRAY_BYTES)
     mallopt(_M_TRIM_THRESHOLD, 256 << 20)
 
 

@@ -9,6 +9,7 @@ band statistics, class names, per-sample metadata, and the split map.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -115,8 +116,14 @@ class DatasetManifest:
             raise DataError(f"sample {sample_id!r} not found under {self.root}")
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
         shape = tuple(meta["shape"])
-        image = np.frombuffer(img_path.read_bytes(), dtype="<f4").reshape(shape).astype(np.float32)
-        mask = np.frombuffer(mask_path.read_bytes(), dtype=np.uint8).reshape(shape[1:]).copy()
+        image_raw, mask_raw = img_path.read_bytes(), mask_path.read_bytes()
+        for path, raw, need in ((img_path, image_raw, 4 * math.prod(shape)),
+                                (mask_path, mask_raw, math.prod(shape[1:]))):
+            if len(raw) != need:
+                raise DataError(f"sample {sample_id!r}: {path.name} holds {len(raw)} bytes, "
+                                f"but its sidecar shape {list(shape)} needs {need}")
+        image = np.frombuffer(image_raw, dtype="<f4").reshape(shape).astype(np.float32)
+        mask = np.frombuffer(mask_raw, dtype=np.uint8).reshape(shape[1:]).copy()
         return Sample(sample_id=sample_id, image=image, mask=mask, bands=tuple(meta["bands"]),
                       lat=meta["lat"], lon=meta["lon"], day_of_year=meta["day_of_year"],
                       year=meta["year"], region=meta["region"])

@@ -55,6 +55,56 @@ def test_truncated_weights_rejected(tmp_path):
         load_checkpoint(tmp_path / "ckpt")
 
 
+def _two_tensor_checkpoint(directory):
+    save_checkpoint(directory, {"a": np.ones(2, dtype=np.float32),
+                                "b": np.full(3, 2.0, dtype=np.float32)})
+    return json.loads((directory / "manifest.json").read_text())
+
+
+def _rejected(directory, manifest=None, weights=None):
+    if manifest is not None:
+        (directory / "manifest.json").write_text(json.dumps(manifest))
+    if weights is not None:
+        (directory / "weights.bin").write_bytes(weights)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(directory)
+
+
+def test_negative_offset_rejected(tmp_path):
+    manifest = _two_tensor_checkpoint(tmp_path)
+    manifest["tensors"][1]["offset"] = -4
+    _rejected(tmp_path, manifest)
+
+
+def test_missing_entry_key_rejected(tmp_path):
+    manifest = _two_tensor_checkpoint(tmp_path)
+    del manifest["tensors"][0]["shape"]
+    _rejected(tmp_path, manifest)
+
+
+@pytest.mark.parametrize("tensors", [5, "a", {"name": "a"}, None])
+def test_non_list_tensors_rejected(tmp_path, tensors):
+    _two_tensor_checkpoint(tmp_path)
+    _rejected(tmp_path, {"tensors": tensors})
+
+
+def test_overlapping_offsets_rejected(tmp_path):
+    manifest = _two_tensor_checkpoint(tmp_path)
+    manifest["tensors"][1]["offset"] = 4  # "a" covers bytes 0-7
+    _rejected(tmp_path, manifest, weights=(tmp_path / "weights.bin").read_bytes()[:16])
+
+
+def test_duplicate_names_rejected(tmp_path):
+    manifest = _two_tensor_checkpoint(tmp_path)
+    manifest["tensors"][1]["name"] = "a"
+    _rejected(tmp_path, manifest)
+
+
+def test_trailing_weight_bytes_rejected(tmp_path):
+    _two_tensor_checkpoint(tmp_path)
+    _rejected(tmp_path, weights=(tmp_path / "weights.bin").read_bytes() + bytes(4))
+
+
 def test_model_save_load_round_trip(tmp_path):
     model = build_model(tiny_backbone(), DecoderConfig("linear", 2), "lora", seed=5)
     model.save(tmp_path / "ckpt")

@@ -119,6 +119,18 @@ def test_sample_storage_round_trip(tmp_path):
     assert loaded.bands == sample.bands and loaded.region == sample.region
 
 
+@pytest.mark.parametrize("blob", ["img", "mask"])
+def test_truncated_sample_blob_rejected(tmp_path, blob):
+    manifest = DatasetManifest(root=tmp_path, num_classes=2, class_names=["a", "b"],
+                               bands=BANDS, band_stats={b: (0.0, 1.0) for b in BANDS},
+                               samples=[], splits={})
+    manifest.save_sample(make_sample())
+    path = tmp_path / "samples" / f"s0.{blob}"
+    path.write_bytes(path.read_bytes()[:-1])
+    with pytest.raises(DataError, match="'s0'.*s0." + blob):
+        manifest.load_sample("s0")
+
+
 def test_manifest_round_trip(tmp_path):
     info = SampleInfo(sample_id="s0", region="r0", lat=1.0, lon=2.0,
                       day_of_year=3, year=2021, labels=(0, 1))

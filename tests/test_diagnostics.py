@@ -48,13 +48,15 @@ def test_identical_samples_identical_rows(diag_model, desk_manifest):
 def test_split_embeddings_match_single_image_path(desk_manifest, desk_backbone):
     model = build_model(desk_backbone, DecoderConfig("linear", 2), "vit_adapter", seed=0,
                         adapter_cfg=TINY_ADAPTER)
+    rng = np.random.default_rng(0)
+    for injector in model.backbone.adapter.injectors.values():  # zero at init; training moves them
+        injector.out.weight.data[:] = rng.normal(scale=0.05, size=injector.out.weight.shape)
     ids, regions, emb = split_embeddings(model, desk_manifest, "val")
     assert ids == desk_manifest.split_ids("val")
     for sid, region, row in zip(ids, regions, emb):
         sample = normalize(desk_manifest.load_sample(sid), desk_manifest.band_stats)
         assert region == sample.region
-        np.testing.assert_allclose(row, model.backbone.image_embedding(sample.image),
-                                   rtol=0, atol=1e-5)
+        np.testing.assert_array_equal(row, model.backbone.image_embedding(sample.image))
 
 
 def test_constant_image_embedding_matches_direct_path(desk_backbone):
