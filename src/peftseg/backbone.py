@@ -18,7 +18,7 @@ import numpy as np
 
 from .autodiff import Tensor, functional as F, no_grad
 from .errors import ConfigError, ShapeError
-from .nn import LayerNorm, Linear, Params, param, zeros_param
+from .nn import LayerNorm, Linear, Module, param, zeros_param
 
 
 def default_tap_layers(depth: int) -> tuple[int, int, int, int]:
@@ -88,7 +88,7 @@ def vit_large_config(band_ids, image_size=(224, 224), patch_size=16, **kw) -> Ba
                           band_ids=tuple(band_ids), image_size=image_size, **kw)
 
 
-class PatchEmbedding:
+class PatchEmbedding(Module):
     """Per-band kernel slabs plus a shared bias and a learned positional table.
 
     Selecting any subset of bands yields a valid embedding: token n is the sum
@@ -99,37 +99,27 @@ class PatchEmbedding:
     def __init__(self, rng: np.random.Generator, cfg: BackboneConfig):
         p, d = cfg.patch_size, cfg.embed_dim
         self.patch_size = p
-        self.slabs = {band: param(rng, (p, p, d)) for band in cfg.band_ids}
+        self.band = {b: param(rng, (p, p, d)) for b in cfg.band_ids}
         self.bias = zeros_param((d,))
         self.pos_table = param(rng, (cfg.num_patches, d))
 
     def weight_for_bands(self, bands: Sequence[str]) -> Tensor:
         p = self.patch_size
-        pieces = [F.reshape(self.slabs[b], (p * p, -1)) for b in bands]
+        pieces = [F.reshape(self.band[b], (p * p, -1)) for b in bands]
         if len(pieces) == 1:
             return pieces[0]
         return F.concat(pieces, axis=0)
 
-    def named_parameters(self, prefix: str) -> Params:
-        for band, slab in self.slabs.items():
-            yield f"{prefix}.band.{band}", slab
-        yield f"{prefix}.bias", self.bias
-        yield f"{prefix}.pos_table", self.pos_table
 
-
-class MetadataEmbedding:
+class MetadataEmbedding(Module):
     """Sine-cosine encodings of location and day-of-year plus a linear year
     term, each projected to the embedding width and summed."""
 
-    FIELDS = ("lat", "lon", "day_of_year", "year")
-
     def __init__(self, rng: np.random.Generator, embed_dim: int):
-        self.encoders = {
-            "lat": Linear(rng, 2, embed_dim),
-            "lon": Linear(rng, 2, embed_dim),
-            "day_of_year": Linear(rng, 2, embed_dim),
-            "year": Linear(rng, 1, embed_dim),
-        }
+        self.lat = Linear(rng, 2, embed_dim)
+        self.lon = Linear(rng, 2, embed_dim)
+        self.day_of_year = Linear(rng, 2, embed_dim)
+        self.year = Linear(rng, 1, embed_dim)
 
     @staticmethod
     def _features(lat, lon, day_of_year, year) -> dict[str, np.ndarray]:
@@ -152,19 +142,14 @@ class MetadataEmbedding:
         }
 
     def __call__(self, lat, lon, day_of_year, year) -> Tensor:
-        feats = self._features(lat, lon, day_of_year, year)
         out = None
-        for name in self.FIELDS:
-            vec = self.encoders[name](Tensor(feats[name].astype(np.float32)))
+        for name, feat in self._features(lat, lon, day_of_year, year).items():
+            vec = getattr(self, name)(Tensor(feat.astype(np.float32)))
             out = vec if out is None else F.add(out, vec)
         return out
 
-    def named_parameters(self, prefix: str) -> Params:
-        for name in self.FIELDS:
-            yield from self.encoders[name].named_parameters(f"{prefix}.{name}")
 
-
-class TransformerBlock:
+class TransformerBlock(Module):
     """Pre-norm block: x + attn(LN(x)), then x + mlp(LN(x))."""
 
     def __init__(self, rng: np.random.Generator, cfg: BackboneConfig):
@@ -172,13 +157,9 @@ class TransformerBlock:
         self.heads = cfg.heads
         self.head_dim = d // cfg.heads
         self.ln1 = LayerNorm(d)
-        self.q = Linear(rng, d, d)
-        self.k = Linear(rng, d, d)
-        self.v = Linear(rng, d, d)
-        self.o = Linear(rng, d, d)
+        self.attn = {name: Linear(rng, d, d) for name in ("q", "k", "v", "o")}
         self.ln2 = LayerNorm(d)
-        self.fc1 = Linear(rng, d, cfg.mlp_hidden)
-        self.fc2 = Linear(rng, cfg.mlp_hidden, d)
+        self.mlp = {"fc1": Linear(rng, d, cfg.mlp_hidden), "fc2": Linear(rng, cfg.mlp_hidden, d)}
 
     def _split_heads(self, t: Tensor, b: int, n: int) -> Tensor:
         t = F.reshape(t, (b, n, self.heads, self.head_dim))
@@ -187,32 +168,24 @@ class TransformerBlock:
     def __call__(self, x: Tensor) -> Tensor:
         b, n, d = x.shape
         h = self.ln1(x)
-        q = self._split_heads(self.q(h), b, n)
-        k = self._split_heads(self.k(h), b, n)
-        v = self._split_heads(self.v(h), b, n)
+        q = self._split_heads(self.attn["q"](h), b, n)
+        k = self._split_heads(self.attn["k"](h), b, n)
+        v = self._split_heads(self.attn["v"](h), b, n)
         ctx = F.attention(q, k, v)
         ctx = F.reshape(F.transpose(ctx, (0, 2, 1, 3)), (b, n, d))
-        x = F.add(x, self.o(ctx))
+        x = F.add(x, self.attn["o"](ctx))
         h2 = self.ln2(x)
-        return F.add(x, self.fc2(F.gelu(self.fc1(h2))))
-
-    def named_parameters(self, prefix: str) -> Params:
-        yield from self.ln1.named_parameters(f"{prefix}.ln1")
-        for name in ("q", "k", "v", "o"):
-            yield from getattr(self, name).named_parameters(f"{prefix}.attn.{name}")
-        yield from self.ln2.named_parameters(f"{prefix}.ln2")
-        yield from self.fc1.named_parameters(f"{prefix}.mlp.fc1")
-        yield from self.fc2.named_parameters(f"{prefix}.mlp.fc2")
+        return F.add(x, self.mlp["fc2"](F.gelu(self.mlp["fc1"](h2))))
 
 
-class ViTBackbone:
+class ViTBackbone(Module):
     """ViT encoder over multispectral patch tokens with four feature taps."""
 
     def __init__(self, cfg: BackboneConfig, seed: int = 0):
         self.cfg = cfg
         rng = np.random.default_rng(seed)
         self.patch_embed = PatchEmbedding(rng, cfg)
-        self.metadata = MetadataEmbedding(rng, cfg.embed_dim) if cfg.metadata_enabled else None
+        self.meta = MetadataEmbedding(rng, cfg.embed_dim) if cfg.metadata_enabled else None
         self.blocks = [TransformerBlock(rng, cfg) for _ in range(cfg.depth)]
         # PEFT attachment hooks, populated by peftseg.peft
         self.vpt = None
@@ -224,7 +197,7 @@ class ViTBackbone:
     def embed_patches(self, image, bands: Sequence[str] | None = None) -> Tensor:
         """Tokenize a (C,H,W) image or (B,C,H,W) batch into (.., N, d) tokens."""
         bands = tuple(bands) if bands is not None else self.cfg.band_ids
-        unknown = [b for b in bands if b not in self.patch_embed.slabs]
+        unknown = [b for b in bands if b not in self.patch_embed.band]
         if unknown:
             raise ShapeError(f"unknown band ids {unknown}; configured bands are {list(self.cfg.band_ids)}")
         x = image if isinstance(image, Tensor) else Tensor(np.asarray(image, dtype=np.float32))
@@ -279,7 +252,7 @@ class ViTBackbone:
         for layer, block in enumerate(self.blocks, start=1):
             if self.adapter is not None and adapter_tokens is not None \
                     and layer in self.adapter.injection_layers:
-                x = F.add(x, self.adapter.injectors[layer](x, adapter_tokens))
+                x = F.add(x, self.adapter.inject[layer](x, adapter_tokens))
             if prompts is not None:
                 n_p = prompts[layer - 1].shape[0]
                 block_prompts = F.reshape(prompts[layer - 1], (1, n_p, d))
@@ -311,7 +284,7 @@ class ViTBackbone:
             x = F.reshape(x, (1,) + x.shape)
         tokens = self.embed_patches(x, bands)
         if self.cfg.metadata_enabled and meta is not None:
-            vec = self.metadata(meta["lat"], meta["lon"], meta["day_of_year"], meta["year"])
+            vec = self.meta(meta["lat"], meta["lon"], meta["day_of_year"], meta["year"])
             tokens = F.add(tokens, F.reshape(vec, (vec.shape[0], 1, vec.shape[1])))
         adapter_tokens = self.adapter.stem_tokens(x) if self.adapter is not None else None
         return self.forward_features(tokens, adapter_tokens=adapter_tokens), adapter_tokens
@@ -329,9 +302,6 @@ class ViTBackbone:
 
     # -- bookkeeping ---------------------------------------------------------
 
-    def named_parameters(self, prefix: str = "encoder") -> Params:
-        yield from self.patch_embed.named_parameters(f"{prefix}.patch_embed")
-        if self.metadata is not None:
-            yield from self.metadata.named_parameters(f"{prefix}.meta")
-        for i, block in enumerate(self.blocks):
-            yield from block.named_parameters(f"{prefix}.blocks.{i}")
+    def _tree(self) -> dict:
+        # the model names the PEFT attachments under peft.*, not under encoder.*
+        return {k: v for k, v in vars(self).items() if k not in ("vpt", "adapter", "lora")}

@@ -114,9 +114,15 @@ class DatasetManifest:
         img_path, mask_path, meta_path = self._paths(sample_id)
         if not meta_path.exists():
             raise DataError(f"sample {sample_id!r} not found under {self.root}")
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        shape = tuple(meta["shape"])
-        image_raw, mask_raw = img_path.read_bytes(), mask_path.read_bytes()
+        try:
+            meta = json.loads(meta_path.read_text(encoding="utf-8"))
+            shape = tuple(int(n) for n in meta["shape"])
+            bands = tuple(meta["bands"])
+            info = {k: meta[k] for k in ("lat", "lon", "day_of_year", "year", "region")}
+            image_raw, mask_raw = img_path.read_bytes(), mask_path.read_bytes()
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise DataError(f"sample {sample_id!r}: unreadable sidecar or blob: "
+                            f"{type(exc).__name__}: {exc}") from exc
         for path, raw, need in ((img_path, image_raw, 4 * math.prod(shape)),
                                 (mask_path, mask_raw, math.prod(shape[1:]))):
             if len(raw) != need:
@@ -124,9 +130,7 @@ class DatasetManifest:
                                 f"but its sidecar shape {list(shape)} needs {need}")
         image = np.frombuffer(image_raw, dtype="<f4").reshape(shape).astype(np.float32)
         mask = np.frombuffer(mask_raw, dtype=np.uint8).reshape(shape[1:]).copy()
-        return Sample(sample_id=sample_id, image=image, mask=mask, bands=tuple(meta["bands"]),
-                      lat=meta["lat"], lon=meta["lon"], day_of_year=meta["day_of_year"],
-                      year=meta["year"], region=meta["region"])
+        return Sample(sample_id=sample_id, image=image, mask=mask, bands=bands, **info)
 
     # -- manifest persistence ---------------------------------------------------
 
@@ -154,18 +158,21 @@ class DatasetManifest:
         path = root / "manifest.json"
         if not path.exists():
             raise DataError(f"no manifest.json under {root}")
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        return cls(
-            root=root,
-            num_classes=payload["num_classes"],
-            class_names=payload["class_names"],
-            bands=tuple(payload["bands"]),
-            band_stats={b: (v["mean"], v["std"]) for b, v in payload["band_stats"].items()},
-            samples=[SampleInfo(sample_id=s["sample_id"], region=s["region"], lat=s["lat"],
-                                lon=s["lon"], day_of_year=s["day_of_year"], year=s["year"],
-                                labels=tuple(s["labels"])) for s in payload["samples"]],
-            splits=dict(payload["splits"]),
-        )
+        try:
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            return cls(
+                root=root,
+                num_classes=payload["num_classes"],
+                class_names=payload["class_names"],
+                bands=tuple(payload["bands"]),
+                band_stats={b: (v["mean"], v["std"]) for b, v in payload["band_stats"].items()},
+                samples=[SampleInfo(sample_id=s["sample_id"], region=s["region"], lat=s["lat"],
+                                    lon=s["lon"], day_of_year=s["day_of_year"], year=s["year"],
+                                    labels=tuple(s["labels"])) for s in payload["samples"]],
+                splits=dict(payload["splits"]),
+            )
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise DataError(f"{path}: malformed dataset manifest: {type(exc).__name__}: {exc}") from exc
 
     def verify_files(self) -> list[str]:
         """Sample ids whose blobs are missing on disk."""

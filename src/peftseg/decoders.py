@@ -18,7 +18,7 @@ import numpy as np
 
 from .autodiff import Tensor, functional as F
 from .errors import ConfigError, ShapeError
-from .nn import BatchNorm2d, Conv2d, ConvTranspose2d, LayerNorm, Params
+from .nn import BatchNorm2d, Conv2d, ConvTranspose2d, LayerNorm, Module
 
 DECODER_KINDS = ("linear", "fcn", "upernet", "unet")
 
@@ -41,6 +41,8 @@ class DecoderConfig:
             raise ConfigError("hidden widths must be positive")
         if len(self.unet_widths) != 4 or any(w < 1 for w in self.unet_widths):
             raise ConfigError(f"unet needs 4 positive widths, got {self.unet_widths}")
+        if any(s < 1 for s in self.ppm_scales):
+            raise ConfigError(f"ppm scales must be positive, got {self.ppm_scales}")
         object.__setattr__(self, "unet_widths", tuple(self.unet_widths))
         object.__setattr__(self, "ppm_scales", tuple(self.ppm_scales))
 
@@ -72,7 +74,7 @@ def _to_channel_first(tap: Tensor) -> Tensor:
     return F.transpose(tap, (0, 3, 1, 2))
 
 
-class Neck:
+class Neck(Module):
     """Learned upsampling from four same-extent taps to a 4-level pyramid
     at {4x, 2x, 1x, 0.5x} of the patch grid."""
 
@@ -100,36 +102,21 @@ class Neck:
             self.down3(m[3]),
         ])
 
-    def named_parameters(self, prefix: str = "neck") -> Params:
-        yield from self.up0_a.named_parameters(f"{prefix}.up0_a")
-        yield from self.up0_b.named_parameters(f"{prefix}.up0_b")
-        yield from self.up1.named_parameters(f"{prefix}.up1")
-        yield from self.down3.named_parameters(f"{prefix}.down3")
 
-    def named_buffers(self, prefix: str = "neck"):
-        return iter(())
-
-
-class AdapterNeck:
+class AdapterNeck(Module):
     """Turns the adapter's 3-level pyramid (strides 8/16/32) into a 4-level
     FeaturePyramid by adding one finer level through a transposed conv."""
 
     def __init__(self, rng: np.random.Generator, dim: int):
         if dim % 2:
             raise ConfigError(f"adapter neck needs an even width, got {dim}")
-        self.up = ConvTranspose2d(rng, dim, dim // 2, 2, stride=2)
+        self.adapter_up = ConvTranspose2d(rng, dim, dim // 2, 2, stride=2)
         self.channels = (dim // 2, dim, dim, dim)
 
     def __call__(self, adapter_maps: list[Tensor]) -> FeaturePyramid:
         if len(adapter_maps) != 3:
             raise ShapeError(f"adapter pyramid needs 3 maps, got {len(adapter_maps)}")
-        return FeaturePyramid([self.up(adapter_maps[0]), *adapter_maps])
-
-    def named_parameters(self, prefix: str = "neck") -> Params:
-        yield from self.up.named_parameters(f"{prefix}.adapter_up")
-
-    def named_buffers(self, prefix: str = "neck"):
-        return iter(())
+        return FeaturePyramid([self.adapter_up(adapter_maps[0]), *adapter_maps])
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +128,7 @@ def _channel_layer_norm(x: Tensor, ln: LayerNorm) -> Tensor:
     return F.transpose(ln(moved), (0, 3, 1, 2))
 
 
-class LinearDecoder:
+class LinearDecoder(Module):
     """One transposed convolution with kernel = stride = patch size; nothing else."""
 
     kind = "linear"
@@ -156,14 +143,8 @@ class LinearDecoder:
             raise ShapeError(f"decoded extent {logits.shape[2:]} differs from requested {out_hw}")
         return logits
 
-    def named_parameters(self, prefix: str = "decoder") -> Params:
-        yield from self.head.named_parameters(f"{prefix}.head")
 
-    def named_buffers(self, prefix: str = "decoder"):
-        return iter(())
-
-
-class FcnDecoder:
+class FcnDecoder(Module):
     """Stacked upsampling blocks: transposed conv (2x), 3x3 conv, channel
     layer norm, GeLU; one block per doubling until full resolution."""
 
@@ -197,18 +178,8 @@ class FcnDecoder:
             raise ShapeError(f"decoded extent {logits.shape[2:]} differs from requested {out_hw}")
         return logits
 
-    def named_parameters(self, prefix: str = "decoder") -> Params:
-        for i, blk in enumerate(self.blocks):
-            yield from blk["up"].named_parameters(f"{prefix}.blocks.{i}.up")
-            yield from blk["conv"].named_parameters(f"{prefix}.blocks.{i}.conv")
-            yield from blk["ln"].named_parameters(f"{prefix}.blocks.{i}.ln")
-        yield from self.classifier.named_parameters(f"{prefix}.classifier")
 
-    def named_buffers(self, prefix: str = "decoder"):
-        return iter(())
-
-
-class UperNetDecoder:
+class UperNetDecoder(Module):
     """FPN over the pyramid plus a pooling module on the coarsest level."""
 
     kind = "upernet"
@@ -217,17 +188,17 @@ class UperNetDecoder:
         ch = cfg.upernet_channels
         c0, c1, c2, c3 = pyramid_channels
         self.ppm_scales = cfg.ppm_scales
-        self.ppm_convs = [Conv2d(rng, c3, ch, 1) for _ in cfg.ppm_scales]
+        self.ppm = [Conv2d(rng, c3, ch, 1) for _ in cfg.ppm_scales]
         self.ppm_fuse = Conv2d(rng, c3 + ch * len(cfg.ppm_scales), ch, 3, padding=1)
-        self.laterals = [Conv2d(rng, c, ch, 1) for c in (c0, c1, c2)]
-        self.smooths = [Conv2d(rng, ch, ch, 3, padding=1) for _ in range(3)]
+        self.lateral = [Conv2d(rng, c, ch, 1) for c in (c0, c1, c2)]
+        self.smooth = [Conv2d(rng, ch, ch, 3, padding=1) for _ in range(3)]
         self.fuse = Conv2d(rng, ch * 4, ch, 3, padding=1)
         self.classifier = Conv2d(rng, ch, cfg.num_classes, 1)
 
     def _ppm_branches(self, coarsest: Tensor) -> list[Tensor]:
         h, w = coarsest.shape[2], coarsest.shape[3]
         branches = []
-        for s, conv in zip(self.ppm_scales, self.ppm_convs):
+        for s, conv in zip(self.ppm_scales, self.ppm):
             pooled = F.adaptive_avg_pool2d(coarsest, s, s)
             branches.append(F.bilinear_resize(F.relu(conv(pooled)), h, w))
         return branches
@@ -238,9 +209,9 @@ class UperNetDecoder:
 
         feats = [None, None, None, top]
         for i in (2, 1, 0):
-            lateral = self.laterals[i]([p0, p1, p2][i])
+            lateral = self.lateral[i]([p0, p1, p2][i])
             upper = F.bilinear_resize(feats[i + 1], lateral.shape[2], lateral.shape[3])
-            feats[i] = self.smooths[i](F.add(lateral, upper))
+            feats[i] = self.smooth[i](F.add(lateral, upper))
 
         h0, w0 = feats[0].shape[2], feats[0].shape[3]
         fused = F.concat([feats[0]] + [F.bilinear_resize(f, h0, w0) for f in feats[1:]], axis=1)
@@ -248,22 +219,8 @@ class UperNetDecoder:
         logits = self.classifier(x)
         return F.bilinear_resize(logits, out_hw[0], out_hw[1])
 
-    def named_parameters(self, prefix: str = "decoder") -> Params:
-        for i, conv in enumerate(self.ppm_convs):
-            yield from conv.named_parameters(f"{prefix}.ppm.{i}")
-        yield from self.ppm_fuse.named_parameters(f"{prefix}.ppm_fuse")
-        for i, conv in enumerate(self.laterals):
-            yield from conv.named_parameters(f"{prefix}.lateral.{i}")
-        for i, conv in enumerate(self.smooths):
-            yield from conv.named_parameters(f"{prefix}.smooth.{i}")
-        yield from self.fuse.named_parameters(f"{prefix}.fuse")
-        yield from self.classifier.named_parameters(f"{prefix}.classifier")
 
-    def named_buffers(self, prefix: str = "decoder"):
-        return iter(())
-
-
-class _ConvBnRelu:
+class _ConvBnRelu(Module):
     def __init__(self, rng, c_in, c_out):
         self.conv = Conv2d(rng, c_in, c_out, 3, padding=1)
         self.bn = BatchNorm2d(c_out)
@@ -271,15 +228,8 @@ class _ConvBnRelu:
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         return F.relu(self.bn(self.conv(x), training))
 
-    def named_parameters(self, prefix: str) -> Params:
-        yield from self.conv.named_parameters(f"{prefix}.conv")
-        yield from self.bn.named_parameters(f"{prefix}.bn")
 
-    def named_buffers(self, prefix: str):
-        yield from self.bn.named_buffers(f"{prefix}.bn")
-
-
-class UNetDecoder:
+class UNetDecoder(Module):
     """Top-down decoding with skip concatenation: interpolate 2x, concatenate
     the next finer pyramid level, then two conv/batch-norm/ReLU stages."""
 
@@ -310,19 +260,6 @@ class UNetDecoder:
             x = stage["b"](stage["a"](x, training), training)
         x = F.bilinear_resize(x, out_hw[0], out_hw[1])
         return self.classifier(x)
-
-    def named_parameters(self, prefix: str = "decoder") -> Params:
-        yield from self.entry.named_parameters(f"{prefix}.entry")
-        for i, stage in enumerate(self.stages):
-            yield from stage["a"].named_parameters(f"{prefix}.stages.{i}.a")
-            yield from stage["b"].named_parameters(f"{prefix}.stages.{i}.b")
-        yield from self.classifier.named_parameters(f"{prefix}.classifier")
-
-    def named_buffers(self, prefix: str = "decoder"):
-        yield from self.entry.named_buffers(f"{prefix}.entry")
-        for i, stage in enumerate(self.stages):
-            yield from stage["a"].named_buffers(f"{prefix}.stages.{i}.a")
-            yield from stage["b"].named_buffers(f"{prefix}.stages.{i}.b")
 
 
 def build_decoder(rng: np.random.Generator, cfg: DecoderConfig, embed_dim: int,

@@ -13,11 +13,12 @@ from .autodiff import Tensor, functional as F, load_checkpoint, save_checkpoint
 from .backbone import BackboneConfig, ViTBackbone
 from .decoders import DecoderConfig, build_head, decode
 from .errors import CheckpointError
+from .nn import Module
 from .peft import (LoraConfig, VitAdapterConfig, VptConfig, apply_freeze_policy,
                    attach_lora, attach_vit_adapter, attach_vpt, normalize_policy)
 
 
-class SegmentationModel:
+class SegmentationModel(Module):
     def __init__(self, backbone: ViTBackbone, decoder_cfg: DecoderConfig, seed: int = 0):
         self.backbone = backbone
         self.decoder_cfg = decoder_cfg
@@ -44,20 +45,11 @@ class SegmentationModel:
 
     # -- parameters ------------------------------------------------------------
 
-    def named_parameters(self):
-        yield from self.backbone.named_parameters("encoder")
-        if self.backbone.lora is not None:
-            yield from self.backbone.lora.named_parameters("peft.lora")
-        if self.backbone.vpt is not None:
-            yield from self.backbone.vpt.named_parameters("peft.vpt")
-        if self.backbone.adapter is not None:
-            yield from self.backbone.adapter.named_parameters("peft.adapter")
-        if self.neck is not None:
-            yield from self.neck.named_parameters("neck")
-        yield from self.decoder.named_parameters("decoder")
-
-    def named_buffers(self):
-        yield from self.decoder.named_buffers("decoder")
+    def _tree(self) -> dict:
+        # the root of the flat namespace; the backbone's attachments go under peft.*
+        b = self.backbone
+        return {"encoder": b, "peft": {"lora": b.lora, "vpt": b.vpt, "adapter": b.adapter},
+                "neck": self.neck, "decoder": self.decoder}
 
     def trainable_parameters(self):
         for name, t in self.named_parameters():

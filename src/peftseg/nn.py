@@ -1,9 +1,11 @@
-"""Minimal parameter-holding layers shared by the backbone, neck, and decoders.
+"""The ``Module`` base and the minimal layers shared by the backbone, neck,
+and decoders.
 
-Layers expose ``named_parameters(prefix)`` yielding ``(name, Tensor)`` pairs;
-freeze policies, optimizers, and checkpoints all operate on those flat names.
-Running statistics of batch norm are buffers, not parameters, and are
-serialized separately.
+A tensor's name is its attribute path: ``named_parameters(prefix)`` yields
+``(name, Tensor)`` pairs and ``named_buffers(prefix)`` ``(name, ndarray)``
+pairs, and freeze policies, optimizers, and checkpoints all operate on those
+flat names. Running statistics of batch norm are buffers, not parameters, and
+are serialized separately.
 """
 
 from __future__ import annotations
@@ -14,7 +16,36 @@ import numpy as np
 
 from .autodiff import Tensor, functional as F
 
-Params = Iterator[tuple[str, Tensor]]
+
+class Module:
+    """Names its tensors by walking its attributes in insertion order.
+
+    A ``Tensor`` attribute is a parameter and an ``ndarray`` attribute a
+    buffer; a child ``Module`` names its own tensors under its path, so an
+    override there wins; ``dict`` and ``list`` attributes are walked by key or
+    index. Anything else (None, numbers, tuples, configs) holds no tensor.
+    """
+
+    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
+        return _walk(self._tree(), prefix, "named_parameters", Tensor)
+
+    def named_buffers(self, prefix: str = "") -> Iterator[tuple[str, np.ndarray]]:
+        return _walk(self._tree(), prefix, "named_buffers", np.ndarray)
+
+    def _tree(self) -> dict:
+        """What the walk names: the attributes, unless a module whose names
+        deliberately differ from its attribute paths says otherwise."""
+        return vars(self)
+
+
+def _walk(value, path: str, method: str, leaf: type):
+    if isinstance(value, leaf):
+        yield path, value
+    elif isinstance(value, Module):
+        yield from getattr(value, method)(path)
+    elif isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _walk(item, f"{path}.{key}" if path else str(key), method, leaf)
 
 
 def param(rng: np.random.Generator, shape, std: float = 0.02) -> Tensor:
@@ -29,7 +60,7 @@ def ones_param(shape) -> Tensor:
     return Tensor(np.ones(shape, dtype=np.float32), requires_grad=True)
 
 
-class Linear:
+class Linear(Module):
     """y = x @ W^T + b with weight shape (d_out, d_in)."""
 
     def __init__(self, rng: np.random.Generator, d_in: int, d_out: int, std: float = 0.02):
@@ -39,12 +70,8 @@ class Linear:
     def __call__(self, x: Tensor) -> Tensor:
         return F.linear(x, self.weight, self.bias)
 
-    def named_parameters(self, prefix: str) -> Params:
-        yield f"{prefix}.weight", self.weight
-        yield f"{prefix}.bias", self.bias
 
-
-class Conv2d:
+class Conv2d(Module):
     def __init__(self, rng: np.random.Generator, c_in: int, c_out: int, kernel: int,
                  stride: int = 1, padding: int = 0):
         fan_in = c_in * kernel * kernel
@@ -57,12 +84,8 @@ class Conv2d:
     def __call__(self, x: Tensor) -> Tensor:
         return F.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
 
-    def named_parameters(self, prefix: str) -> Params:
-        yield f"{prefix}.weight", self.weight
-        yield f"{prefix}.bias", self.bias
 
-
-class ConvTranspose2d:
+class ConvTranspose2d(Module):
     """Kernel shape (c_in, c_out, k, k), matching the adjoint of Conv2d."""
 
     def __init__(self, rng: np.random.Generator, c_in: int, c_out: int, kernel: int,
@@ -78,12 +101,8 @@ class ConvTranspose2d:
         return F.conv_transpose2d(x, self.weight, self.bias, stride=self.stride,
                                   padding=self.padding, output_size=output_size)
 
-    def named_parameters(self, prefix: str) -> Params:
-        yield f"{prefix}.weight", self.weight
-        yield f"{prefix}.bias", self.bias
 
-
-class LayerNorm:
+class LayerNorm(Module):
     def __init__(self, dim: int, eps: float = 1e-5):
         self.gamma = ones_param((dim,))
         self.beta = zeros_param((dim,))
@@ -92,12 +111,8 @@ class LayerNorm:
     def __call__(self, x: Tensor) -> Tensor:
         return F.layer_norm(x, self.gamma, self.beta, eps=self.eps)
 
-    def named_parameters(self, prefix: str) -> Params:
-        yield f"{prefix}.gamma", self.gamma
-        yield f"{prefix}.beta", self.beta
 
-
-class BatchNorm2d:
+class BatchNorm2d(Module):
     """Batch norm over (B, H, W) per channel with running-stat buffers."""
 
     def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1):
@@ -118,11 +133,3 @@ class BatchNorm2d:
         return F.batch_norm2d(x, self.gamma, self.beta,
                               Tensor(self.running_mean), Tensor(self.running_var),
                               training=training, eps=self.eps)
-
-    def named_parameters(self, prefix: str) -> Params:
-        yield f"{prefix}.gamma", self.gamma
-        yield f"{prefix}.beta", self.beta
-
-    def named_buffers(self, prefix: str):
-        yield f"{prefix}.running_mean", self.running_mean
-        yield f"{prefix}.running_var", self.running_var

@@ -17,7 +17,7 @@ import numpy as np
 from .autodiff import Tensor, functional as F
 from .backbone import ViTBackbone
 from .errors import ConfigError, ShapeError
-from .nn import Conv2d, Linear, Params, param, zeros_param
+from .nn import Conv2d, Linear, Module, param, zeros_param
 
 LORA_TARGETS = ("attention-query", "attention-value", "mlp-fc1", "mlp-fc2")
 _TARGET_ATTR = {"attention-query": ("attn", "q"), "attention-value": ("attn", "v"),
@@ -35,6 +35,8 @@ class LoraConfig:
     def __post_init__(self):
         if self.rank < 1:
             raise ConfigError(f"LoRA rank must be >= 1, got {self.rank}")
+        if not np.isfinite(self.scaling) or self.scaling == 0:
+            raise ConfigError(f"LoRA scaling must be finite and non-zero, got {self.scaling}")
         if not self.targets:
             raise ConfigError("LoRA needs at least one target")
         bad = [t for t in self.targets if t not in LORA_TARGETS]
@@ -64,7 +66,7 @@ class VitAdapterConfig:
         object.__setattr__(self, "injection_layers", tuple(self.injection_layers))
 
 
-class LoraLinear:
+class LoraLinear(Module):
     """Wraps a frozen linear map with an additive low-rank update.
 
     The up matrix starts at exact zeros, so the wrapped forward equals the
@@ -88,26 +90,23 @@ class LoraLinear:
     def merged_weight(self) -> np.ndarray:
         return self.base.weight.data + np.float32(self.scaling) * (self.lora_b.data @ self.lora_a.data)
 
-    def named_parameters(self, prefix: str) -> Params:
-        # base weights keep their original names so checkpoints stay compatible
-        yield from self.base.named_parameters(prefix)
-
-    def adapter_parameters(self, prefix: str) -> Params:
-        yield f"{prefix}.lora_a", self.lora_a
-        yield f"{prefix}.lora_b", self.lora_b
+    def _tree(self) -> dict:
+        # base weights keep their encoder names so checkpoints stay compatible;
+        # the attachment names lora_a and lora_b under peft.lora.*
+        return self.base._tree()
 
 
 @dataclass
-class LoraAttachment:
+class LoraAttachment(Module):
     cfg: LoraConfig
     layers: list[tuple[str, LoraLinear]] = field(default_factory=list)
 
-    def named_parameters(self, prefix: str = "peft.lora") -> Params:
-        for path, layer in self.layers:
-            yield from layer.adapter_parameters(f"{prefix}.{path}")
+    def _tree(self) -> dict:
+        return {path: {"lora_a": layer.lora_a, "lora_b": layer.lora_b}
+                for path, layer in self.layers}
 
 
-class VptAttachment:
+class VptAttachment(Module):
     """Fresh prompt block per transformer layer (deep prompting)."""
 
     def __init__(self, rng: np.random.Generator, cfg: VptConfig, depth: int, embed_dim: int):
@@ -118,12 +117,8 @@ class VptAttachment:
             for _ in range(depth)
         ]
 
-    def named_parameters(self, prefix: str = "peft.vpt") -> Params:
-        for i, p in enumerate(self.prompts):
-            yield f"{prefix}.prompts.{i}", p
 
-
-class CrossAttention:
+class CrossAttention(Module):
     """Single-head cross-attention; output projection starts at zero so the
     module is silent at attachment time."""
 
@@ -137,12 +132,8 @@ class CrossAttention:
     def __call__(self, queries: Tensor, context: Tensor) -> Tensor:
         return self.out(F.attention(self.q(queries), self.k(context), self.v(context)))
 
-    def named_parameters(self, prefix: str) -> Params:
-        for name in ("q", "k", "v", "out"):
-            yield from getattr(self, name).named_parameters(f"{prefix}.{name}")
 
-
-class VitAdapterAttachment:
+class VitAdapterAttachment(Module):
     """Convolutional spatial prior with cross-attention interaction.
 
     A strided conv stem turns the raw image into a three-level pyramid at
@@ -171,8 +162,8 @@ class VitAdapterAttachment:
         bad = [i for i in self.injection_layers if not 1 <= i <= backbone_cfg.depth]
         if bad:
             raise ConfigError(f"injection layers {bad} outside [1, {backbone_cfg.depth}]")
-        self.injectors = {layer: CrossAttention(rng, d) for layer in self.injection_layers}
-        self.extractor = CrossAttention(rng, d)
+        self.inject = {layer: CrossAttention(rng, d) for layer in self.injection_layers}
+        self.extract = CrossAttention(rng, d)
         self.embed_dim = d
         h, w = backbone_cfg.image_size
         if h % 32 or w % 32:
@@ -199,7 +190,7 @@ class VitAdapterAttachment:
 
     def pyramid(self, adapter_tokens: Tensor, final_tokens: Tensor) -> list[Tensor]:
         """Three channel-first maps at strides 8/16/32 after extraction."""
-        updated = F.add(adapter_tokens, self.extractor(adapter_tokens, final_tokens))
+        updated = F.add(adapter_tokens, self.extract(adapter_tokens, final_tokens))
         b, _, d = updated.shape
         maps = []
         offset = 0
@@ -209,15 +200,6 @@ class VitAdapterAttachment:
             maps.append(F.transpose(F.reshape(chunk, (b, lh, lw, d)), (0, 3, 1, 2)))
             offset += n
         return maps
-
-    def named_parameters(self, prefix: str = "peft.adapter") -> Params:
-        for i, conv in enumerate(self.stem):
-            yield from conv.named_parameters(f"{prefix}.stem.{i}")
-        for i, pr in enumerate(self.proj):
-            yield from pr.named_parameters(f"{prefix}.proj.{i}")
-        for layer in self.injection_layers:
-            yield from self.injectors[layer].named_parameters(f"{prefix}.inject.{layer}")
-        yield from self.extractor.named_parameters(f"{prefix}.extract")
 
 
 # ---------------------------------------------------------------------------
@@ -234,11 +216,12 @@ def attach_lora(backbone: ViTBackbone, cfg: LoraConfig, seed: int = 0) -> ViTBac
     for i, block in enumerate(backbone.blocks):
         for target in cfg.targets:
             group, attr = _TARGET_ATTR[target]
-            base = getattr(block, attr, None)
+            layers = getattr(block, group)
+            base = layers.get(attr)
             if not isinstance(base, Linear):
                 raise ConfigError(f"target {target!r} absent in backbone block {i}")
             wrapped = LoraLinear(rng, base, cfg.rank, cfg.scaling)
-            setattr(block, attr, wrapped)
+            layers[attr] = wrapped
             attachment.layers.append((f"blocks.{i}.{group}.{attr}", wrapped))
     backbone.lora = attachment
     return backbone
@@ -251,11 +234,11 @@ def merge_lora(backbone: ViTBackbone) -> ViTBackbone:
     if attachment is None:
         return backbone
     for block in backbone.blocks:
-        for attr in ("q", "v", "fc1", "fc2"):
-            layer = getattr(block, attr, None)
-            if isinstance(layer, LoraLinear):
-                layer.base.weight.data[...] = layer.merged_weight().astype(np.float32)
-                setattr(block, attr, layer.base)
+        for layers in (block.attn, block.mlp):
+            for attr, layer in layers.items():
+                if isinstance(layer, LoraLinear):
+                    layer.base.weight.data[...] = layer.merged_weight().astype(np.float32)
+                    layers[attr] = layer.base
     backbone.lora = None
     return backbone
 

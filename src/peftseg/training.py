@@ -46,8 +46,10 @@ class RunConfig:
     adapter: VitAdapterConfig | None = None
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning rate must be positive, got {self.learning_rate}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"learning rate must be positive and finite, got {self.learning_rate}")
+        if not (np.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ConfigError(f"weight decay must be non-negative and finite, got {self.weight_decay}")
         if self.early_stop_patience < 1 or self.plateau_patience < 1:
             raise ConfigError("patience values must be >= 1")
         if not 0 < self.plateau_factor < 1:

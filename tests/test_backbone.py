@@ -142,19 +142,19 @@ def test_metadata_disabled_gives_zero_vector():
 
 def test_metadata_purity_and_latitude_sensitivity():
     backbone = ViTBackbone(tiny_backbone(metadata=True), seed=8)
-    a = backbone.metadata(45.0, 8.0, 120, 2021)
-    b = backbone.metadata(45.0, 8.0, 120, 2021)
+    a = backbone.meta(45.0, 8.0, 120, 2021)
+    b = backbone.meta(45.0, 8.0, 120, 2021)
     np.testing.assert_array_equal(a.data, b.data)
-    c = backbone.metadata(-10.0, 8.0, 120, 2021)
+    c = backbone.meta(-10.0, 8.0, 120, 2021)
     assert np.abs(a.data - c.data).max() > 0
 
 
 def test_metadata_out_of_range_rejected():
     backbone = ViTBackbone(tiny_backbone(metadata=True), seed=8)
     with pytest.raises(ShapeError):
-        backbone.metadata(95.0, 0.0, 1, 2020)
+        backbone.meta(95.0, 0.0, 1, 2020)
     with pytest.raises(ShapeError):
-        backbone.metadata(0.0, 200.0, 1, 2020)
+        backbone.meta(0.0, 200.0, 1, 2020)
 
 
 def test_image_embedding_is_token_mean():

@@ -1,5 +1,7 @@
 """Sample transforms, manifest persistence, and blob storage."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,45 @@ def test_truncated_sample_blob_rejected(tmp_path, blob):
     path.write_bytes(path.read_bytes()[:-1])
     with pytest.raises(DataError, match="'s0'.*s0." + blob):
         manifest.load_sample("s0")
+
+
+@pytest.mark.parametrize("fault", ["unparsable sidecar", "sidecar without region",
+                                   "non-list shape", "missing img"])
+def test_unreadable_sample_raises_data_error_naming_it(tmp_path, fault):
+    manifest = DatasetManifest(root=tmp_path, num_classes=2, class_names=["a", "b"],
+                               bands=BANDS, band_stats={b: (0.0, 1.0) for b in BANDS},
+                               samples=[], splits={})
+    manifest.save_sample(make_sample())
+    sidecar = tmp_path / "samples" / "s0.json"
+    meta = json.loads(sidecar.read_text())
+    if fault == "unparsable sidecar":
+        sidecar.write_text("{\"bands\": [")
+    elif fault == "sidecar without region":
+        del meta["region"]
+        sidecar.write_text(json.dumps(meta))
+    elif fault == "non-list shape":
+        sidecar.write_text(json.dumps({**meta, "shape": 5}))
+    else:
+        (tmp_path / "samples" / "s0.img").unlink()
+    with pytest.raises(DataError, match="'s0'"):
+        manifest.load_sample("s0")
+
+
+@pytest.mark.parametrize("fault", ["unparsable", "missing key", "mistyped samples"])
+def test_unreadable_manifest_raises_data_error(tmp_path, fault):
+    DatasetManifest(root=tmp_path, num_classes=2, class_names=["a", "b"], bands=BANDS,
+                    band_stats={b: (0.0, 1.0) for b in BANDS}, samples=[], splits={}).save()
+    path = tmp_path / "manifest.json"
+    payload = json.loads(path.read_text())
+    if fault == "unparsable":
+        path.write_text(path.read_text()[:-2])
+    elif fault == "missing key":
+        del payload["splits"]
+        path.write_text(json.dumps(payload))
+    else:
+        path.write_text(json.dumps({**payload, "samples": 5}))
+    with pytest.raises(DataError, match="manifest.json"):
+        DatasetManifest.load(tmp_path)
 
 
 def test_manifest_round_trip(tmp_path):

@@ -174,6 +174,11 @@ def test_estimate_rejects_single_class():
         DecoderConfig("linear", 1)
 
 
+def test_zero_ppm_scale_rejected_when_the_config_is_built():
+    with pytest.raises(ConfigError):
+        DecoderConfig("upernet", 2, ppm_scales=(0,))
+
+
 def test_fcn_params_increase_with_hidden_width():
     counts = [decoder_params(DecoderConfig("fcn", 2, fcn_hidden=h), 32, 8)
               for h in (8, 16, 32, 64)]

@@ -49,7 +49,7 @@ def test_split_embeddings_match_single_image_path(desk_manifest, desk_backbone):
     model = build_model(desk_backbone, DecoderConfig("linear", 2), "vit_adapter", seed=0,
                         adapter_cfg=TINY_ADAPTER)
     rng = np.random.default_rng(0)
-    for injector in model.backbone.adapter.injectors.values():  # zero at init; training moves them
+    for injector in model.backbone.adapter.inject.values():  # zero at init; training moves them
         injector.out.weight.data[:] = rng.normal(scale=0.05, size=injector.out.weight.shape)
     ids, regions, emb = split_embeddings(model, desk_manifest, "val")
     assert ids == desk_manifest.split_ids("val")

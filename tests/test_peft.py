@@ -67,6 +67,12 @@ def test_rank_zero_rejected():
         LoraConfig(rank=0)
 
 
+@pytest.mark.parametrize("scaling", [float("nan"), 0.0])
+def test_nan_or_zero_lora_scaling_rejected(scaling):
+    with pytest.raises(ConfigError):
+        LoraConfig(scaling=scaling)
+
+
 def test_zero_prompts_rejected():
     with pytest.raises(ConfigError):
         VptConfig(prompts_per_layer=0)

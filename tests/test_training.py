@@ -231,6 +231,15 @@ def test_invalid_run_config_values():
                   plateau_factor=1.5)
 
 
+@pytest.mark.parametrize("field,value", [("weight_decay", -1.0),
+                                         ("learning_rate", float("nan")),
+                                         ("learning_rate", float("inf"))])
+def test_non_finite_or_negative_optimizer_values_rejected(field, value):
+    with pytest.raises(ConfigError):
+        RunConfig(backbone=tiny_backbone(), decoder=DecoderConfig("linear", 2), manifest=None,
+                  **{field: value})
+
+
 def test_history_csv_layout(tmp_path, mini_manifest):
     result = train(mini_run(mini_manifest, max_epochs=2))
     path = tmp_path / "history.csv"
