@@ -22,18 +22,42 @@ _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT_2PI = 0.3989422804014327
 
 
+# ``Primitive.saves`` rules: map ``needs`` to the input arrays a rule reads.
+
+
+def _reads_all(needs):
+    return (True,) * len(needs)
+
+
+def _reads_none(needs):
+    return (False,) * len(needs)
+
+
+def _reads_other(needs):
+    """A bilinear rule reads each input only for the other input's gradient."""
+    return needs[1], needs[0]
+
+
+def _reads_gamma(needs):
+    """A normalisation rule reads only gamma, and only for the input's gradient."""
+    return (False, needs[0]) + (False,) * (len(needs) - 2)
+
+
 @dataclass(frozen=True)
 class Primitive:
     forward: Callable
     backward: Callable
     linear: bool  # affine in each input with the others held fixed
+    # needs -> which input arrays the backward rule reads; the tape keeps
+    # only those of intermediate inputs (the default keeps every input)
+    saves: Callable = _reads_all
 
 
 _REGISTRY: dict[str, Primitive] = {}
 
 
-def _register(op_id: str, forward, backward, linear: bool = False):
-    _REGISTRY[op_id] = Primitive(forward, backward, linear)
+def _register(op_id: str, forward, backward, saves, linear: bool = False):
+    _REGISTRY[op_id] = Primitive(forward, backward, linear, saves)
 
 
 def registered_primitives() -> tuple[str, ...]:
@@ -45,15 +69,20 @@ def is_linear_primitive(op_id: str) -> bool:
 
 
 def apply_primitive(op_id: str, inputs, attrs: dict | None = None) -> Tensor:
-    """Apply a registered primitive and record a tape node when needed."""
+    """Apply a registered primitive and record a tape node when needed.
+
+    The node holds an intermediate input's array only when the rule reads
+    it (``Primitive.saves``); otherwise it holds the producer's stand-in,
+    so an activation no rule reads is freed once the caller drops it.
+    Leaves are held as they are.
+    """
     try:
         prim = _REGISTRY[op_id]
     except KeyError:
         raise UnknownPrimitiveError(f"unknown primitive {op_id!r}") from None
     attrs = {} if attrs is None else attrs
     inputs = list(inputs)
-    datas = [t.data for t in inputs]
-    out_data, ctx = prim.forward(datas, attrs)
+    out_data, ctx = prim.forward([t.data for t in inputs], attrs)
 
     out = Tensor.__new__(Tensor)
     out.data = np.ascontiguousarray(out_data)
@@ -64,10 +93,14 @@ def apply_primitive(op_id: str, inputs, attrs: dict | None = None) -> Tensor:
     if grad_enabled():
         needs = tuple(t.requires_grad or t.node is not None for t in inputs)
         if any(needs):
-            def backward_fn(gout, needs, _prim=prim, _datas=datas, _attrs=attrs, _ctx=ctx):
+            kept = tuple(t if read or t.node is None else t.node.stand_in()
+                         for t, read in zip(inputs, prim.saves(needs)))
+
+            def backward_fn(gout, needs, _prim=prim, _datas=[t.data for t in kept],
+                            _attrs=attrs, _ctx=ctx):
                 return _prim.backward(_datas, _attrs, _ctx, gout, needs)
 
-            out.node = Node(op_id, tuple(inputs), out, backward_fn, needs)
+            out.node = Node(op_id, kept, out, backward_fn, needs)
     return out
 
 
@@ -751,29 +784,29 @@ def _dropout_bwd(datas, attrs, ctx, g, needs):
     return (g * mask / keep,)
 
 
-_register("add", _add_fwd, _add_bwd, linear=True)
-_register("sub", _sub_fwd, _sub_bwd, linear=True)
-_register("mul", _mul_fwd, _mul_bwd, linear=True)
-_register("neg", _neg_fwd, _neg_bwd, linear=True)
-_register("scale", _scale_fwd, _scale_bwd, linear=True)
-_register("reshape", _reshape_fwd, _reshape_bwd, linear=True)
-_register("transpose", _transpose_fwd, _transpose_bwd, linear=True)
-_register("slice", _slice_fwd, _slice_bwd, linear=True)
-_register("concat", _concat_fwd, _concat_bwd, linear=True)
-_register("sum", _sum_fwd, _sum_bwd, linear=True)
-_register("mean", _mean_fwd, _mean_bwd, linear=True)
-_register("matmul", _matmul_fwd, _matmul_bwd, linear=True)
-_register("gelu", _gelu_fwd, _gelu_bwd)
-_register("relu", _relu_fwd, _relu_bwd)
-_register("softmax", _softmax_fwd, _softmax_bwd)
-_register("log_softmax", _log_softmax_fwd, _log_softmax_bwd)
-_register("layer_norm", _layer_norm_fwd, _layer_norm_bwd)
-_register("batch_norm2d", _batch_norm2d_fwd, _batch_norm2d_bwd)
-_register("conv2d", _conv2d_fwd, _conv2d_bwd, linear=True)
-_register("conv_transpose2d", _conv_transpose2d_fwd, _conv_transpose2d_bwd, linear=True)
-_register("bilinear_resize", _bilinear_resize_fwd, _bilinear_resize_bwd, linear=True)
-_register("reflect_pad2d", _reflect_pad2d_fwd, _reflect_pad2d_bwd, linear=True)
-_register("avg_pool2d", _avg_pool2d_fwd, _avg_pool2d_bwd, linear=True)
-_register("max_pool2d", _max_pool2d_fwd, _max_pool2d_bwd)
-_register("adaptive_avg_pool2d", _adaptive_avg_pool2d_fwd, _adaptive_avg_pool2d_bwd, linear=True)
-_register("dropout", _dropout_fwd, _dropout_bwd)
+_register("add", _add_fwd, _add_bwd, _reads_none, linear=True)
+_register("sub", _sub_fwd, _sub_bwd, _reads_none, linear=True)
+_register("mul", _mul_fwd, _mul_bwd, _reads_other, linear=True)
+_register("neg", _neg_fwd, _neg_bwd, _reads_none, linear=True)
+_register("scale", _scale_fwd, _scale_bwd, _reads_none, linear=True)
+_register("reshape", _reshape_fwd, _reshape_bwd, _reads_none, linear=True)
+_register("transpose", _transpose_fwd, _transpose_bwd, _reads_none, linear=True)
+_register("slice", _slice_fwd, _slice_bwd, _reads_none, linear=True)
+_register("concat", _concat_fwd, _concat_bwd, _reads_none, linear=True)
+_register("sum", _sum_fwd, _sum_bwd, _reads_none, linear=True)
+_register("mean", _mean_fwd, _mean_bwd, _reads_none, linear=True)
+_register("matmul", _matmul_fwd, _matmul_bwd, _reads_other, linear=True)
+_register("gelu", _gelu_fwd, _gelu_bwd, _reads_all)
+_register("relu", _relu_fwd, _relu_bwd, _reads_all)
+_register("softmax", _softmax_fwd, _softmax_bwd, _reads_none)
+_register("log_softmax", _log_softmax_fwd, _log_softmax_bwd, _reads_none)
+_register("layer_norm", _layer_norm_fwd, _layer_norm_bwd, _reads_gamma)
+_register("batch_norm2d", _batch_norm2d_fwd, _batch_norm2d_bwd, _reads_gamma)
+_register("conv2d", _conv2d_fwd, _conv2d_bwd, _reads_other, linear=True)
+_register("conv_transpose2d", _conv_transpose2d_fwd, _conv_transpose2d_bwd, _reads_other, linear=True)
+_register("bilinear_resize", _bilinear_resize_fwd, _bilinear_resize_bwd, _reads_none, linear=True)
+_register("reflect_pad2d", _reflect_pad2d_fwd, _reflect_pad2d_bwd, _reads_none, linear=True)
+_register("avg_pool2d", _avg_pool2d_fwd, _avg_pool2d_bwd, _reads_none, linear=True)
+_register("max_pool2d", _max_pool2d_fwd, _max_pool2d_bwd, _reads_none)
+_register("adaptive_avg_pool2d", _adaptive_avg_pool2d_fwd, _adaptive_avg_pool2d_bwd, _reads_none, linear=True)
+_register("dropout", _dropout_fwd, _dropout_bwd, _reads_none)

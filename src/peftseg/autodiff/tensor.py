@@ -75,22 +75,41 @@ class Node:
     insertion order is a topological order of the graph by construction.
     The output tensor holds its node, so the node refers back to it weakly:
     a graph is freed as soon as its root is, without the cyclic collector.
+    The node records its output's shape and dtype, so a consumer whose rule
+    never reads that output can hold a stand-in instead (see ``stand_in``).
     """
 
-    __slots__ = ("op_id", "inputs", "_output", "backward_fn", "needs", "index")
+    __slots__ = ("op_id", "inputs", "_output", "shape", "dtype", "backward_fn", "needs", "index")
 
     def __init__(self, op_id, inputs, output, backward_fn, needs):
         self.op_id = op_id
         self.inputs = inputs
         self._output = weakref.ref(output)
+        self.shape, self.dtype = output.shape, output.dtype
         self.backward_fn = backward_fn
         self.needs = needs
         self.index = next(_node_counter)
 
     @property
-    def output(self) -> "Tensor | None":
-        """The tensor this node produced (None once that tensor is freed)."""
-        return self._output()
+    def output(self) -> "Tensor":
+        """The tensor this node produced, or its stand-in once that tensor is freed.
+
+        An output is freed when no consumer's rule reads it and the caller
+        has dropped it; the stand-in then keeps ``shape``, ``dtype``,
+        ``size`` and ``data.nbytes`` but its data are zeros.
+        """
+        out = self._output()
+        return self.stand_in() if out is None else out
+
+    def stand_in(self) -> "Tensor":
+        """A tensor on this node with the output's shape and dtype but no storage:
+        its data are a read-only, zero-strided broadcast of one zero."""
+        t = Tensor.__new__(Tensor)
+        t.data = np.broadcast_to(np.zeros((), self.dtype), self.shape)
+        t.requires_grad = False
+        t.grad = None
+        t.node = self
+        return t
 
 
 class Tensor:

@@ -173,10 +173,12 @@ def head_param_counts(backbone_cfg: BackboneConfig, decoder_cfg: DecoderConfig,
 
 
 def traced_activation_elements(model: SegmentationModel, batch_size: int) -> int:
-    """Sum of tape-node output elements for one forward, scaled by batch size.
+    """Elements of every output one forward produces on the tape, scaled by batch size.
 
     Frozen subgraphs never enter the tape, so the estimate shrinks with the
-    freeze policy exactly like the stored-activation footprint would.
+    freeze policy. It counts what the forward pass produces, not the bytes
+    the tape holds: a node keeps an input's array only when its backward
+    rule reads it, so an output no rule reads is freed before backward runs.
     """
     cfg = model.backbone.cfg
     h, w = cfg.image_size

@@ -64,6 +64,9 @@ class VitAdapterConfig:
             raise ConfigError(f"adapter needs 3 positive pyramid widths, got {self.channels}")
         object.__setattr__(self, "channels", tuple(self.channels))
         object.__setattr__(self, "injection_layers", tuple(self.injection_layers))
+        repeated = sorted({i for i in self.injection_layers if self.injection_layers.count(i) > 1})
+        if repeated:
+            raise ConfigError(f"adapter injection layers {repeated} repeat; each layer injects once")
 
 
 class LoraLinear(Module):

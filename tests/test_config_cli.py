@@ -94,6 +94,14 @@ def test_bad_value_reports_line(tmp_path):
     assert "embed_dim" in str(err.value)
 
 
+def test_repeated_injection_layer_rejected(tmp_path):
+    cfg = ProjectConfig.load(write_cfg(tmp_path, CFG_TEXT.replace(
+        "rank = 4", "rank = 4\ninjection_layers = 2, 2")))
+    with pytest.raises(ConfigError) as err:
+        cfg.peft_configs()
+    assert "injection layers [2]" in str(err.value)
+
+
 def test_missing_file_rejected(tmp_path):
     with pytest.raises(ConfigError):
         ProjectConfig.load(tmp_path / "absent.cfg")

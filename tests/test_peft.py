@@ -78,6 +78,12 @@ def test_zero_prompts_rejected():
         VptConfig(prompts_per_layer=0)
 
 
+def test_repeated_injection_layer_rejected():
+    with pytest.raises(ConfigError, match=r"\[2\]"):
+        VitAdapterConfig(injection_layers=(2, 2))
+    assert VitAdapterConfig(injection_layers=(2, 3)).injection_layers == (2, 3)
+
+
 def test_no_attachment_full_ft_encoder_fraction_is_one():
     model = build_model(tiny_backbone(), DecoderConfig("linear", 2), "full_finetune")
     report = count_parameters(model)

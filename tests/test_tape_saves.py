@@ -1,0 +1,143 @@
+"""What the tape keeps: each primitive's ``saves`` declaration and the memory
+a forward pass holds for backward."""
+
+import inspect
+import itertools
+import tracemalloc
+import weakref
+
+import numpy as np
+import pytest
+
+from peftseg.autodiff import Tensor, backward, functional as F, trace
+from peftseg.autodiff.primitives import _REGISTRY, _register, registered_primitives
+from peftseg.decoders import DecoderConfig
+from peftseg.model import build_model
+
+from conftest import TINY_ADAPTER, tiny_backbone
+
+
+def _cases(dtype):
+    """op_id -> [(input arrays, attrs)], C-contiguous like every array on the tape."""
+    rng = np.random.default_rng(0)
+
+    def a(*shape):
+        return rng.normal(size=shape).astype(dtype)
+
+    return {
+        "add": [([a(3, 4), a(4)], {})],
+        "sub": [([a(3, 4), a(3, 1)], {})],
+        "mul": [([a(3, 4), a(1, 4)], {})],
+        "neg": [([a(5)], {})],
+        "scale": [([a(5)], {"alpha": 2.5})],
+        "reshape": [([a(2, 3)], {"shape": (3, 2)})],
+        "transpose": [([a(2, 3, 4)], {"axes": (2, 0, 1)})],
+        "slice": [([a(4, 3)], {"ranges": ((1, 3), None)})],
+        "concat": [([a(2, 3), a(2, 2), a(2, 1)], {"axis": 1})],
+        "sum": [([a(3, 4)], {"axes": (1,)}), ([a(3, 4)], {"axes": None, "keepdims": True})],
+        "mean": [([a(3, 4)], {"axes": (0,)}), ([a(3, 4)], {"axes": -1, "keepdims": True})],
+        "matmul": [([a(2, 3, 4), a(4, 5)], {}), ([a(2, 3, 4), a(2, 5, 4)], {"transpose_b": True})],
+        "gelu": [([a(8)], {})],
+        "relu": [([a(8)], {})],
+        "softmax": [([a(2, 5)], {"axis": -1})],
+        "log_softmax": [([a(2, 5)], {"axis": 0})],
+        "layer_norm": [([a(3, 6), a(6), a(6)], {"eps": 1e-5})],
+        "batch_norm2d": [([a(2, 2, 3, 3), a(2), a(2), a(2), np.abs(a(2)) + 0.5], {"training": t})
+                         for t in (True, False)],
+        "conv2d": [([a(2, 2, 5, 5), a(3, 2, 3, 3)], {"stride": 2, "padding": 1})],
+        "conv_transpose2d": [([a(1, 2, 3, 3), a(2, 3, 2, 2)], {"stride": 2, "padding": 0})],
+        "bilinear_resize": [([a(1, 2, 3, 4)], {"out_h": 5, "out_w": 7})],
+        "reflect_pad2d": [([a(1, 1, 3, 4)], {"pad_h": 2, "pad_w": 2})],
+        "avg_pool2d": [([a(1, 2, 5, 5)], {"kernel": 2, "stride": 2})],
+        "max_pool2d": [([a(1, 2, 4, 4)], {"kernel": 2})],
+        "adaptive_avg_pool2d": [([a(1, 2, 5, 7)], {"out_h": 3, "out_w": 3})],
+        "dropout": [([a(4, 4)], {"p": 0.4, "seed": 7})],
+    }
+
+
+def test_every_primitive_declares_saves_and_has_a_case():
+    assert inspect.signature(_register).parameters["saves"].default is inspect.Parameter.empty
+    assert sorted(_cases(np.float32)) == list(registered_primitives())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("op_id", registered_primitives())
+def test_backward_reads_only_what_saves_declares(op_id, dtype):
+    """Stand-ins for the inputs ``saves`` drops leave every gradient's bytes unchanged."""
+    prim = _REGISTRY[op_id]
+    rng = np.random.default_rng(1)
+    for datas, attrs in _cases(dtype)[op_id]:
+        out, ctx = prim.forward(datas, attrs)
+        g = rng.normal(size=out.shape).astype(out.dtype)
+        for needs in itertools.product((False, True), repeat=len(datas)):
+            if not any(needs):
+                continue
+            saved = prim.saves(needs)
+            assert len(saved) == len(datas) and all(type(s) is bool for s in saved)
+            lean = [d if keep else np.broadcast_to(np.zeros((), d.dtype), d.shape)
+                    for d, keep in zip(datas, saved)]
+            full_grads = prim.backward(datas, attrs, ctx, g, needs)
+            lean_grads = prim.backward(lean, attrs, ctx, g, needs)
+            for i, (x, y) in enumerate(zip(full_grads, lean_grads)):
+                where = f"{op_id} needs={needs} input {i}"
+                if x is None:
+                    assert y is None, where
+                    continue
+                assert (x.dtype, x.shape, x.strides) == (y.dtype, y.shape, y.strides), where
+                assert x.tobytes() == y.tobytes(), where
+
+
+def _live_after_forward(method: str) -> int:
+    """tracemalloc bytes still live after one desk forward and loss at batch 8."""
+    model = build_model(tiny_backbone(), DecoderConfig("linear", 2), method, seed=0,
+                        adapter_cfg=TINY_ADAPTER)
+    images = np.random.default_rng(0).normal(size=(8, 6, 64, 64)).astype(np.float32)
+    masks = np.zeros((8, 64, 64), dtype=np.int64)
+    backward(F.cross_entropy(model.forward(images, training=True), masks))  # warm-up
+    tracemalloc.start()
+    try:
+        loss = F.cross_entropy(model.forward(images, training=True), masks)  # noqa: F841
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_forward_memory_follows_the_freeze_policy():
+    live = {m: _live_after_forward(m) for m in ("linear_probe", "lora", "full_finetune")}
+    assert live["linear_probe"] < live["lora"] < live["full_finetune"], live
+
+
+def test_attention_scores_are_freed_before_backward(monkeypatch):
+    rng = np.random.default_rng(3)
+    b, h, t, d = 2, 2, 5, 4
+    x = Tensor(rng.normal(size=(b, h, t, d)).astype(np.float32), requires_grad=True)
+    wq, wk, wv = (Tensor(rng.normal(size=(d, d)).astype(np.float32)) for _ in range(3))
+    q, k, v = F.matmul(x, wq), F.matmul(x, wk), F.matmul(x, wv)
+
+    scores = {}
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            if out.shape == (b, h, t, t):
+                scores[name] = weakref.ref(out.data)
+            return out
+        return wrapped
+
+    monkeypatch.setattr(F, "matmul", spy("raw", F.matmul))
+    monkeypatch.setattr(F, "scale", spy("scaled", F.scale))
+    monkeypatch.setattr(F, "softmax", spy("probs", F.softmax))
+    loss = F.sum(F.attention(q, k, v))
+    del q, k, v
+
+    assert scores["raw"]() is None and scores["scaled"]() is None
+    assert scores["probs"]() is not None  # the softmax rule and the last matmul read it
+    # a freed output reads back as a stand-in of the same shape, dtype and nbytes
+    freed = [n for n in trace(loss).nodes if n.shape and not any(n.output.data.strides)]
+    assert {n.op_id for n in freed} >= {"matmul", "scale"}
+    for n in freed:
+        out = n.output
+        assert (out.node, out.shape, out.dtype) == (n, n.shape, n.dtype)
+        assert out.data.nbytes == out.size * out.dtype.itemsize and not out.data.any()
+    backward(loss)
+    assert x.grad is not None and np.isfinite(x.grad).all()
