@@ -84,21 +84,18 @@ def apply_primitive(op_id: str, inputs, attrs: dict | None = None) -> Tensor:
     inputs = list(inputs)
     out_data, ctx = prim.forward([t.data for t in inputs], attrs)
 
-    out = Tensor.__new__(Tensor)
-    out.data = np.ascontiguousarray(out_data)
-    out.requires_grad = False
-    out.grad = None
-    out.node = None
-
+    out = Tensor._wrap(np.ascontiguousarray(out_data))
     if grad_enabled():
         needs = tuple(t.requires_grad or t.node is not None for t in inputs)
         if any(needs):
             kept = tuple(t if read or t.node is None else t.node.stand_in()
                          for t, read in zip(inputs, prim.saves(needs)))
 
+            # rules get C-order gradients, so their bits do not depend on the
+            # memory layout a consumer's rule returned the gradient in
             def backward_fn(gout, needs, _prim=prim, _datas=[t.data for t in kept],
                             _attrs=attrs, _ctx=ctx):
-                return _prim.backward(_datas, _attrs, _ctx, gout, needs)
+                return _prim.backward(_datas, _attrs, _ctx, np.ascontiguousarray(gout), needs)
 
             out.node = Node(op_id, kept, out, backward_fn, needs)
     return out

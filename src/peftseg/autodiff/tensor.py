@@ -1,10 +1,12 @@
 """Dense real tensors on a reverse-mode differentiation tape.
 
-Tensors wrap C-contiguous float32/float64 ndarrays. Primitive applications
-(see :mod:`peftseg.autodiff.primitives`) record nodes whenever any input
-participates in differentiation; ``backward`` replays the recorded nodes in
-reverse topological order exactly once. Leaves that never require gradients
-are never recorded, so their gradients are exactly zero by construction.
+Tensors wrap C-contiguous float32/float64 ndarrays and have no operators:
+every graph edge is added through :mod:`peftseg.autodiff.functional`.
+Primitive applications (see :mod:`peftseg.autodiff.primitives`) record nodes
+whenever any input participates in differentiation; ``backward`` replays the
+recorded nodes in reverse topological order exactly once. Leaves that never
+require gradients are never recorded, so their gradients are exactly zero by
+construction.
 """
 
 from __future__ import annotations
@@ -104,12 +106,7 @@ class Node:
     def stand_in(self) -> "Tensor":
         """A tensor on this node with the output's shape and dtype but no storage:
         its data are a read-only, zero-strided broadcast of one zero."""
-        t = Tensor.__new__(Tensor)
-        t.data = np.broadcast_to(np.zeros((), self.dtype), self.shape)
-        t.requires_grad = False
-        t.grad = None
-        t.node = self
-        return t
+        return Tensor._wrap(np.broadcast_to(np.zeros((), self.dtype), self.shape), self)
 
 
 class Tensor:
@@ -134,6 +131,13 @@ class Tensor:
         self.grad = None
         self.node = None
 
+    @classmethod
+    def _wrap(cls, data: np.ndarray, node: Node | None = None) -> "Tensor":
+        """A gradient-free tensor on ``data`` exactly as given: no cast, no copy."""
+        t = cls.__new__(cls)
+        t.data, t.requires_grad, t.grad, t.node = data, False, None, node
+        return t
+
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
@@ -155,84 +159,9 @@ class Tensor:
             raise ShapeError(f"item() requires a scalar tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def numpy(self) -> np.ndarray:
-        """Read-only view of the underlying array."""
-        view = self.data.view()
-        view.flags.writeable = False
-        return view
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}{flag})"
-
-    # Operator sugar routes through the primitive registry so every graph
-    # edge carries a backward rule. Imports are deferred to avoid a cycle.
-
-    def __add__(self, other):
-        from . import functional as F
-
-        return F.add(self, _as_tensor(other, self.dtype))
-
-    def __radd__(self, other):
-        return self.__add__(other)
-
-    def __sub__(self, other):
-        from . import functional as F
-
-        return F.sub(self, _as_tensor(other, self.dtype))
-
-    def __mul__(self, other):
-        from . import functional as F
-
-        if isinstance(other, (int, float)):
-            return F.scale(self, float(other))
-        return F.mul(self, other)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        from . import functional as F
-
-        return F.neg(self)
-
-    def __matmul__(self, other):
-        from . import functional as F
-
-        return F.matmul(self, other)
-
-    def reshape(self, *shape):
-        from . import functional as F
-
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return F.reshape(self, shape)
-
-    def transpose(self, *axes):
-        from . import functional as F
-
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return F.transpose(self, axes)
-
-    def sum(self, axes=None, keepdims=False):
-        from . import functional as F
-
-        return F.sum(self, axes, keepdims)
-
-    def mean(self, axes=None, keepdims=False):
-        from . import functional as F
-
-        return F.mean(self, axes, keepdims)
-
-
-def _as_tensor(value, dtype) -> Tensor:
-    if isinstance(value, Tensor):
-        return value
-    return Tensor(np.asarray(value, dtype=dtype))
 
 
 class Tape:

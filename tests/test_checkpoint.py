@@ -106,13 +106,22 @@ def test_trailing_weight_bytes_rejected(tmp_path):
 
 
 def test_model_save_load_round_trip(tmp_path):
-    model = build_model(tiny_backbone(), DecoderConfig("linear", 2), "lora", seed=5)
-    model.save(tmp_path / "ckpt")
-    other = build_model(tiny_backbone(), DecoderConfig("linear", 2), "lora", seed=99)
-    other.load(tmp_path / "ckpt")
-    for (name_a, ta), (name_b, tb) in zip(model.named_parameters(), other.named_parameters()):
-        assert name_a == name_b
-        assert np.array_equal(ta.data, tb.data), name_a
+    """Parameters and batch-norm running statistics survive save and load."""
+    images = np.random.default_rng(0).normal(size=(2, 6, 64, 64)).astype(np.float32)
+    for kind in ("linear", "unet"):
+        model = build_model(tiny_backbone(), DecoderConfig(kind, 2), "lora", seed=5)
+        model.forward(images, training=True)  # moves the running statistics
+        model.save(tmp_path / kind)
+        other = build_model(tiny_backbone(), DecoderConfig(kind, 2), "lora", seed=99)
+        saved, fresh = model.state_dict(), other.state_dict()
+        buffers = [n for n in saved if n.startswith("buffers.")]
+        assert bool(buffers) == (kind == "unet")
+        assert all(not np.array_equal(saved[n], fresh[n]) for n in buffers)
+        other.load(tmp_path / kind)
+        loaded = other.state_dict()
+        assert list(loaded) == list(saved)
+        for name in saved:
+            assert np.array_equal(saved[name], loaded[name]), (kind, name)
 
 
 def test_adapter_checkpoint_reconstructs_adapted_model(tmp_path):
@@ -128,11 +137,17 @@ def test_adapter_checkpoint_reconstructs_adapted_model(tmp_path):
 
 
 def test_incompatible_shape_rejected(tmp_path):
-    model = build_model(tiny_backbone(), DecoderConfig("linear", 2), "full_finetune", seed=5)
-    state = model.state_dict()
-    name = next(iter(state))
-    state[name] = np.zeros((1, 1), dtype=np.float32)
-    save_checkpoint(tmp_path / "bad", state)
-    fresh = build_model(tiny_backbone(), DecoderConfig("linear", 2), "full_finetune", seed=5)
-    with pytest.raises(CheckpointError):
-        fresh.load(tmp_path / "bad")
+    """A wrong-shaped tensor or buffer, or a buffer the model lacks, is rejected."""
+    wrong = np.zeros((1, 1), dtype=np.float32)
+    cases = (("linear", lambda state: next(iter(state)), wrong),
+             ("unet", lambda state: next(n for n in state if n.startswith("buffers.")), wrong),
+             ("unet", lambda state: "buffers.decoder.no_such_norm.running_mean",
+              np.zeros(4, dtype=np.float32)))
+    for i, (kind, pick, arr) in enumerate(cases):
+        model = build_model(tiny_backbone(), DecoderConfig(kind, 2), "full_finetune", seed=5)
+        state = model.state_dict()
+        state[pick(state)] = arr
+        save_checkpoint(tmp_path / f"bad{i}", state)
+        fresh = build_model(tiny_backbone(), DecoderConfig(kind, 2), "full_finetune", seed=5)
+        with pytest.raises(CheckpointError):
+            fresh.load(tmp_path / f"bad{i}")

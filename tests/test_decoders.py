@@ -11,7 +11,7 @@ from peftseg.decoders import (DecoderConfig, FeaturePyramid, Neck, build_decoder
 from peftseg.errors import ConfigError, ShapeError
 from peftseg.model import build_model
 
-from conftest import tiny_backbone
+from conftest import TINY_ADAPTER, tiny_backbone
 
 RNG = np.random.default_rng(21)
 
@@ -43,14 +43,23 @@ def test_neck_rejects_extent_mismatch():
 
 
 def test_neck_weights_receive_gradient_under_linear_probe():
-    model = build_model(tiny_backbone(), DecoderConfig("unet", 2), "linear_probe", seed=1)
+    """Every neck tensor trains: the ViT neck under a frozen encoder, and the
+    adapter neck with the extractor's output projection on the adapter path."""
     images = RNG.normal(size=(1, 6, 64, 64)).astype(np.float32)
     targets = RNG.integers(0, 2, size=(1, 64, 64))
-    loss = F.cross_entropy(model.forward(images, training=True), targets)
-    grads = backward(loss)
-    neck_params = [t for n, t in model.named_parameters() if n.startswith("neck.")]
-    assert neck_params
-    assert all(p in grads and np.abs(grads[p]).max() > 0 for p in neck_params)
+    for method, kind in (("linear_probe", "unet"), ("vit_adapter", "unet"),
+                         ("vit_adapter", "upernet")):
+        model = build_model(tiny_backbone(), DecoderConfig(kind, 2), method, seed=1,
+                            adapter_cfg=TINY_ADAPTER)
+        logits = model.forward(images, training=True)
+        assert logits.shape == (1, 2, 64, 64), (method, kind)
+        grads = backward(F.cross_entropy(logits, targets))
+        prefixes = ("neck.",) if method == "linear_probe" else ("neck.", "peft.adapter.extract.out.")
+        for prefix in prefixes:
+            params = [(n, t) for n, t in model.named_parameters() if n.startswith(prefix)]
+            assert params, (method, kind, prefix)
+            for name, t in params:
+                assert t in grads and np.abs(grads[t]).max() > 0, (method, kind, name)
 
 
 def test_feature_pyramid_requires_decreasing_scales():

@@ -175,13 +175,15 @@ def test_merge_untrained_is_bitwise_noop():
 
 
 def test_merge_after_training_matches_adapter_forward():
-    model = build_model(tiny_backbone(), DecoderConfig("linear", 2), "lora", seed=5)
-    _train_steps(model, steps=10)
     image = RNG.normal(size=(2, 6, 64, 64)).astype(np.float32)
-    before = model.forward(image).data.copy()
-    merge_lora(model.backbone)
-    after = model.forward(image).data
-    assert np.abs(before - after).max() <= 1e-5
+    for lora_cfg in (LoraConfig(scaling=1.0), LoraConfig(scaling=2.0)):
+        model = build_model(tiny_backbone(), DecoderConfig("linear", 2), "lora", seed=5,
+                            lora_cfg=lora_cfg)
+        _train_steps(model, steps=10)
+        before = model.forward(image).data.copy()
+        merge_lora(model.backbone)
+        after = model.forward(image).data
+        assert np.abs(before - after).max() <= 1e-5, lora_cfg
 
 
 def test_merge_twice_is_idempotent():

@@ -1,5 +1,6 @@
-"""What the tape keeps: each primitive's ``saves`` declaration and the memory
-a forward pass holds for backward."""
+"""What the tape keeps and hands to the rules: each primitive's ``saves``
+declaration, the layout of the gradients its rule receives, and the memory a
+forward pass holds for backward."""
 
 import inspect
 import itertools
@@ -9,7 +10,7 @@ import weakref
 import numpy as np
 import pytest
 
-from peftseg.autodiff import Tensor, backward, functional as F, trace
+from peftseg.autodiff import Tensor, apply_primitive, backward, functional as F, trace
 from peftseg.autodiff.primitives import _REGISTRY, _register, registered_primitives
 from peftseg.decoders import DecoderConfig
 from peftseg.model import build_model
@@ -85,6 +86,30 @@ def test_backward_reads_only_what_saves_declares(op_id, dtype):
                     continue
                 assert (x.dtype, x.shape, x.strides) == (y.dtype, y.shape, y.strides), where
                 assert x.tobytes() == y.tobytes(), where
+
+
+@pytest.mark.parametrize("op_id", registered_primitives())
+def test_backward_bits_do_not_depend_on_gradient_layout(op_id):
+    """A node's rule returns the same bytes for an upstream gradient in C order
+    and for a Fortran-order copy of it."""
+    rng = np.random.default_rng(2)
+    cases = _cases(np.float32)[op_id]
+    if op_id == "add":  # a bias gradient: (8, 128, 16, 16) summed to (1, 128, 1, 1)
+        cases = cases + [([rng.normal(size=(8, 128, 16, 16)).astype(np.float32),
+                           rng.normal(size=(1, 128, 1, 1)).astype(np.float32)], {})]
+    for datas, attrs in cases:
+        out = apply_primitive(op_id, [Tensor(d, requires_grad=True) for d in datas], attrs)
+        g = rng.normal(size=out.shape).astype(out.dtype)
+        needs = out.node.needs
+        c_grads = out.node.backward_fn(g.copy(), needs)
+        f_grads = out.node.backward_fn(np.asfortranarray(g), needs)
+        for i, (x, y) in enumerate(zip(c_grads, f_grads)):
+            where = f"{op_id} {[d.shape for d in datas]} input {i}"
+            if x is None:
+                assert y is None, where
+                continue
+            assert (x.dtype, x.shape) == (y.dtype, y.shape), where
+            assert x.tobytes() == y.tobytes(), where
 
 
 def _live_after_forward(method: str) -> int:
