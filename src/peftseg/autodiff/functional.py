@@ -2,7 +2,9 @@
 
 Attention and the segmentation loss are compositions of primitives rather
 than fused kernels; every edge they create carries a registered backward
-rule, so gradient checking covers them for free.
+rule, so gradient checking covers them for free. Attention hands its 1/sqrt(d)
+scale to ``softmax`` as its ``alpha``, which saves a (..., T, T) array and a
+tape node per call and gives the bytes of a separate ``scale``.
 """
 
 from __future__ import annotations
@@ -71,8 +73,9 @@ def relu(a: Tensor) -> Tensor:
     return apply_primitive("relu", [a])
 
 
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    return apply_primitive("softmax", [a], {"axis": axis})
+def softmax(a: Tensor, axis: int = -1, alpha: float = 1.0) -> Tensor:
+    """softmax(alpha * a) along ``axis``."""
+    return apply_primitive("softmax", [a], {"axis": axis, "alpha": float(alpha)})
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -144,8 +147,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """Scaled dot-product attention over (..., T, head_dim) operands."""
     if q.shape[-1] != k.shape[-1]:
         raise ShapeError(f"attention: head dims differ ({q.shape} vs {k.shape})")
-    scores = scale(matmul(q, k, transpose_b=True), 1.0 / np.sqrt(q.shape[-1]))
-    return matmul(softmax(scores, axis=-1), v)
+    scores = matmul(q, k, transpose_b=True)
+    return matmul(softmax(scores, axis=-1, alpha=1.0 / np.sqrt(q.shape[-1])), v)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_index: int = 255) -> Tensor:
@@ -177,12 +180,8 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_index: int = 255) 
         raise ShapeError(f"cross_entropy: target ids outside [0, {k})")
 
     safe = np.where(valid, targets, 0)
-    onehot = np.zeros(logits.shape, dtype=logits.dtype)
-    if logits.ndim == 4:
-        bi, hi, wi = np.indices(targets.shape, sparse=False)
-        onehot[bi, safe, hi, wi] = valid
-    else:
-        onehot[np.arange(targets.shape[0]), safe] = valid
+    classes = np.arange(k).reshape((1, k) + (1,) * (targets.ndim - 1))
+    onehot = (safe[:, None] == classes) & valid[:, None]
 
     logp = log_softmax(logits, axis=class_axis)
     picked = mul(logp, Tensor(onehot, dtype=logits.dtype))

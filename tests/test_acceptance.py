@@ -167,6 +167,9 @@ def _gradcheck_case(op_id: str, rng: np.random.Generator):
     if op_id == "softmax":
         c = pt((2, 5))
         return pt((2, 5)), lambda x: F.sum(F.mul(F.softmax(x, axis=-1), c))
+    if op_id == "softmax alpha":  # the attention scale folded into softmax
+        c = pt((2, 3, 4))
+        return pt((2, 3, 4)), lambda x: F.sum(F.mul(F.softmax(x, axis=-1, alpha=0.35), c))
     if op_id == "log_softmax":
         c = pt((2, 5))
         return pt((2, 5)), lambda x: F.sum(F.mul(F.log_softmax(x, axis=-1), c))
@@ -218,7 +221,7 @@ def _gradcheck_case(op_id: str, rng: np.random.Generator):
 
 def test_criterion_3_gradients_and_adjoint():
     worst = {}
-    for op_id in registered_primitives():
+    for op_id in (*registered_primitives(), "softmax alpha"):
         errs = []
         for instance in range(20):
             rng = np.random.default_rng(zlib.crc32(f"{op_id}/{instance}".encode()))
@@ -248,7 +251,7 @@ def test_criterion_3_gradients_and_adjoint():
     bad = {op: f"{err:.1e}" for op, err in worst.items() if err > 1e-3}
     report(3, "all primitives pass grad check <= 1e-3; conv adjoint <= 1e-5",
            grad_ok and adjoint_ok,
-           f"{len(worst)} primitives, worst {max(worst.values()):.1e}"
+           f"{len(worst)} cases, worst {max(worst.values()):.1e}"
            f"{', failing ' + str(bad) if bad else ''}, adjoint {adjoint_worst:.1e}")
 
 

@@ -14,6 +14,7 @@ def t(arr, **kw):
 def test_gelu_fixes_origin():
     out = F.gelu(t([0.0]))
     assert out.data[0] == 0.0
+    assert F.gelu(Tensor(np.zeros(1))).data[0] == 0.0  # float64 takes scipy's erf
 
 
 def test_matmul_identity():

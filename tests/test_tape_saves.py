@@ -40,7 +40,7 @@ def _cases(dtype):
         "matmul": [([a(2, 3, 4), a(4, 5)], {}), ([a(2, 3, 4), a(2, 5, 4)], {"transpose_b": True})],
         "gelu": [([a(8)], {})],
         "relu": [([a(8)], {})],
-        "softmax": [([a(2, 5)], {"axis": -1})],
+        "softmax": [([a(2, 5)], {"axis": -1}), ([a(2, 3, 4)], {"axis": -1, "alpha": 0.35})],
         "log_softmax": [([a(2, 5)], {"axis": 0})],
         "layer_norm": [([a(3, 6), a(6), a(6)], {"eps": 1e-5})],
         "batch_norm2d": [([a(2, 2, 3, 3), a(2), a(2), a(2), np.abs(a(2)) + 0.5], {"training": t})
@@ -150,16 +150,17 @@ def test_attention_scores_are_freed_before_backward(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(F, "matmul", spy("raw", F.matmul))
-    monkeypatch.setattr(F, "scale", spy("scaled", F.scale))
     monkeypatch.setattr(F, "softmax", spy("probs", F.softmax))
     loss = F.sum(F.attention(q, k, v))
     del q, k, v
 
-    assert scores["raw"]() is None and scores["scaled"]() is None
+    assert scores["raw"]() is None  # softmax scales the raw scores itself
     assert scores["probs"]() is not None  # the softmax rule and the last matmul read it
+    nodes = trace(loss).nodes
+    assert "scale" not in {n.op_id for n in nodes}
     # a freed output reads back as a stand-in of the same shape, dtype and nbytes
-    freed = [n for n in trace(loss).nodes if n.shape and not any(n.output.data.strides)]
-    assert {n.op_id for n in freed} >= {"matmul", "scale"}
+    freed = [n for n in nodes if n.shape and not any(n.output.data.strides)]
+    assert {n.op_id for n in freed} >= {"matmul"}
     for n in freed:
         out = n.output
         assert (out.node, out.shape, out.dtype) == (n, n.shape, n.dtype)
