@@ -9,6 +9,7 @@ training path is float32 end to end.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable
 
@@ -16,7 +17,7 @@ import numpy as np
 from scipy.special import erf
 
 from ..errors import ShapeError, UnknownPrimitiveError
-from .tensor import HEAP_ARRAY_BYTES, Node, Tensor, grad_enabled
+from .tensor import HEAP_ARRAY_BYTES, Node, Tensor, grad_enabled, no_grad
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT_2PI = 0.3989422804014327
@@ -92,22 +93,24 @@ def apply_primitive(op_id: str, inputs, attrs: dict | None = None) -> Tensor:
         raise UnknownPrimitiveError(f"unknown primitive {op_id!r}") from None
     attrs = {} if attrs is None else attrs
     inputs = list(inputs)
-    out_data, ctx = prim.forward([t.data for t in inputs], attrs)
+    needs = tuple(t.requires_grad or t.node is not None for t in inputs) if grad_enabled() else ()
+    record = any(needs)
+    # a forward sees grad enabled only when a node will be recorded
+    with nullcontext() if record else no_grad():
+        out_data, ctx = prim.forward([t.data for t in inputs], attrs)
 
     out = Tensor._wrap(np.ascontiguousarray(out_data))
-    if grad_enabled():
-        needs = tuple(t.requires_grad or t.node is not None for t in inputs)
-        if any(needs):
-            kept = tuple(t if read or t.node is None else t.node.stand_in()
-                         for t, read in zip(inputs, prim.saves(needs)))
+    if record:
+        kept = tuple(t if read or t.node is None else t.node.stand_in()
+                     for t, read in zip(inputs, prim.saves(needs)))
 
-            # rules get C-order gradients, so their bits do not depend on the
-            # memory layout a consumer's rule returned the gradient in
-            def backward_fn(gout, needs, _prim=prim, _datas=[t.data for t in kept],
-                            _attrs=attrs, _ctx=ctx):
-                return _prim.backward(_datas, _attrs, _ctx, np.ascontiguousarray(gout), needs)
+        # rules get C-order gradients, so their bits do not depend on the
+        # memory layout a consumer's rule returned the gradient in
+        def backward_fn(gout, needs, _prim=prim, _datas=[t.data for t in kept],
+                        _attrs=attrs, _ctx=ctx):
+            return _prim.backward(_datas, _attrs, _ctx, np.ascontiguousarray(gout), needs)
 
-            out.node = Node(op_id, kept, out, backward_fn, needs)
+        out.node = Node(op_id, kept, out, backward_fn, needs)
     return out
 
 
@@ -422,32 +425,35 @@ def _log_softmax_bwd(datas, attrs, ctx, g, needs):
     return (g - np.exp(y) * g.sum(axis=axis, keepdims=True),)
 
 
+def _standardise(x, axes, eps):
+    """(x - mean) / sqrt(var + eps) over ``axes``, and that inverse deviation."""
+    xhat = x - x.mean(axis=axes, keepdims=True)
+    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=axes, keepdims=True) + eps)
+    xhat *= inv
+    return xhat, inv
+
+
+def _standardise_grad(dxhat, xhat, inv, axes):
+    """The input gradient of ``_standardise`` from the gradient of its output."""
+    return inv * (dxhat - dxhat.mean(axis=axes, keepdims=True)
+                  - xhat * (dxhat * xhat).mean(axis=axes, keepdims=True))
+
+
 def _layer_norm_fwd(datas, attrs):
     x, gamma, beta = datas
     dim = x.shape[-1]
     if gamma.shape != (dim,) or beta.shape != (dim,):
         raise _shape_err("layer_norm", "gamma/beta must match last axis", x.shape, gamma.shape, beta.shape)
-    eps = attrs.get("eps", 1e-5)
-    xhat = x - x.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + eps)
-    xhat *= inv
+    xhat, inv = _standardise(x, (-1,), attrs.get("eps", 1e-5))
     return xhat * gamma + beta, (xhat, inv)
 
 
 def _layer_norm_bwd(datas, attrs, ctx, g, needs):
-    x, gamma, beta = datas
     xhat, inv = ctx
-    gx = ggamma = gbeta = None
-    if needs[0]:
-        dxhat = g * gamma
-        gx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
-    if needs[1]:
-        red = tuple(range(x.ndim - 1))
-        ggamma = (g * xhat).sum(axis=red)
-    if needs[2]:
-        red = tuple(range(x.ndim - 1))
-        gbeta = g.sum(axis=red)
+    red = tuple(range(xhat.ndim - 1))
+    gx = _standardise_grad(g * datas[1], xhat, inv, (-1,)) if needs[0] else None
+    ggamma = (g * xhat).sum(axis=red) if needs[1] else None
+    gbeta = g.sum(axis=red) if needs[2] else None
     return gx, ggamma, gbeta
 
 
@@ -461,10 +467,7 @@ def _batch_norm2d_fwd(datas, attrs):
             raise _shape_err("batch_norm2d", f"{name} must have shape ({c},)", x.shape, arr.shape)
     eps = attrs.get("eps", 1e-5)
     if attrs.get("training", True):
-        mu = x.mean(axis=(0, 2, 3), keepdims=True)
-        var = ((x - mu) ** 2).mean(axis=(0, 2, 3), keepdims=True)
-        inv = 1.0 / np.sqrt(var + eps)
-        xhat = (x - mu) * inv
+        xhat, inv = _standardise(x, (0, 2, 3), eps)
     else:
         inv = (1.0 / np.sqrt(rvar + eps)).reshape(1, c, 1, 1)
         xhat = (x - rmean.reshape(1, c, 1, 1)) * inv
@@ -473,21 +476,13 @@ def _batch_norm2d_fwd(datas, attrs):
 
 
 def _batch_norm2d_bwd(datas, attrs, ctx, g, needs):
-    x, gamma = datas[0], datas[1]
     xhat, inv = ctx
-    c = x.shape[1]
-    gx = ggamma = gbeta = None
+    gx = None
     if needs[0]:
-        dxhat = g * gamma.reshape(1, c, 1, 1)
-        if attrs.get("training", True):
-            gx = inv * (dxhat - dxhat.mean(axis=(0, 2, 3), keepdims=True)
-                        - xhat * (dxhat * xhat).mean(axis=(0, 2, 3), keepdims=True))
-        else:
-            gx = dxhat * inv
-    if needs[1]:
-        ggamma = (g * xhat).sum(axis=(0, 2, 3))
-    if needs[2]:
-        gbeta = g.sum(axis=(0, 2, 3))
+        dxhat = g * datas[1].reshape(1, -1, 1, 1)
+        gx = _standardise_grad(dxhat, xhat, inv, (0, 2, 3)) if attrs.get("training", True) else dxhat * inv
+    ggamma = (g * xhat).sum(axis=(0, 2, 3)) if needs[1] else None
+    gbeta = g.sum(axis=(0, 2, 3)) if needs[2] else None
     return gx, ggamma, gbeta, None, None
 
 

@@ -299,9 +299,3 @@ class ViTBackbone(Module):
             emb = F.mean(F.reshape(final, (b, gh * gw, d)), axes=(1,))
         out = np.array(emb.data, copy=True)
         return out[0] if x.ndim == 3 else out
-
-    # -- bookkeeping ---------------------------------------------------------
-
-    def _tree(self) -> dict:
-        # the model names the PEFT attachments under peft.*, not under encoder.*
-        return {k: v for k, v in vars(self).items() if k not in ("vpt", "adapter", "lora")}

@@ -23,7 +23,8 @@ from .data import DatasetManifest, normalize, reflect_pad_to, subset_bands
 from .decoders import DecoderConfig, build_head
 from .errors import DataError
 from .model import SegmentationModel, build_model
-from .peft import LoraConfig, VitAdapterConfig, VptConfig
+from .peft import (EXTRACTOR, METHODS, POLICIES, LoraConfig, VitAdapterConfig, VptConfig,
+                   attachment_config, head_trains, normalize_policy)
 from .training import assemble_batch, batches, load_split
 
 EMBED_BATCH = 32  # images per embedding forward
@@ -147,16 +148,15 @@ def adapter_param_count(cfg: BackboneConfig, adapter: VitAdapterConfig) -> int:
     return count + n_blocks * cross_attention_param_count(d)
 
 
+_CLOSED_FORMS = {LoraConfig: lora_param_count, VptConfig: vpt_param_count,
+                 VitAdapterConfig: adapter_param_count}
+
+
 def peft_param_count(cfg: BackboneConfig, method: str, lora: LoraConfig | None = None,
                      vpt: VptConfig | None = None,
                      adapter: VitAdapterConfig | None = None) -> int:
-    if method == "lora":
-        return lora_param_count(cfg, lora or LoraConfig())
-    if method == "vpt":
-        return vpt_param_count(cfg, vpt or VptConfig())
-    if method == "vit_adapter":
-        return adapter_param_count(cfg, adapter or VitAdapterConfig())
-    return 0
+    config = attachment_config(method, lora, vpt, adapter)
+    return 0 if config is None else _CLOSED_FORMS[type(config)](cfg, config)
 
 
 def head_param_counts(backbone_cfg: BackboneConfig, decoder_cfg: DecoderConfig,
@@ -197,22 +197,19 @@ def parameter_memory_report(backbone_cfg: BackboneConfig, decoder_cfg: DecoderCo
                             include_activations: bool = True) -> list[dict]:
     """One row per freeze policy: exact parameter counts, trainable-state
     element counts (grads + optimizer moments), and the activation estimate."""
-    methods = list(methods or ("full_finetune", "linear_probe", "lora", "vpt", "vit_adapter"))
     encoder = encoder_param_count(backbone_cfg)
     rows = []
-    for method in methods:
+    for method in map(normalize_policy, methods or POLICIES):
         peft = peft_param_count(backbone_cfg, method, lora, vpt, adapter)
-        neck_params, decoder_params = head_param_counts(
-            backbone_cfg, decoder_cfg, adapter_attached=method == "vit_adapter")
+        has_adapter = METHODS[method].config is VitAdapterConfig
+        neck_params, decoder_params = head_param_counts(backbone_cfg, decoder_cfg, has_adapter)
         total = encoder + peft + neck_params + decoder_params
-        if method == "full_finetune":
-            trainable = total
-        elif method == "linear_probe":
-            trainable = neck_params + decoder_params
-        else:
-            trainable = peft + neck_params + decoder_params
-        if method == "vit_adapter" and not decoder_cfg.needs_pyramid:
-            trainable -= cross_attention_param_count(backbone_cfg.embed_dim)  # frozen extractor
+        # counts by name prefix, so the freeze policy's own rule picks the trainable ones
+        extractor = cross_attention_param_count(backbone_cfg.embed_dim) if has_adapter else 0
+        parts = {"encoder.": encoder, f"peft.{METHODS[method].attr}.": peft - extractor,
+                 EXTRACTOR: extractor, "neck.": neck_params, "decoder.": decoder_params}
+        trainable = sum(n for prefix, n in parts.items()
+                        if head_trains(method, decoder_cfg, prefix))
         row = {
             "method": method,
             "encoder_params": encoder,

@@ -14,8 +14,8 @@ from .backbone import BackboneConfig, ViTBackbone
 from .decoders import DecoderConfig, build_head, decode
 from .errors import CheckpointError
 from .nn import Module
-from .peft import (LoraConfig, VitAdapterConfig, VptConfig, apply_freeze_policy,
-                   attach_lora, attach_vit_adapter, attach_vpt, normalize_policy)
+from .peft import (METHODS, LoraConfig, VitAdapterConfig, VptConfig, apply_freeze_policy,
+                   attachment_config, normalize_policy)
 
 
 class SegmentationModel(Module):
@@ -46,10 +46,10 @@ class SegmentationModel(Module):
     # -- parameters ------------------------------------------------------------
 
     def _tree(self) -> dict:
-        # the root of the flat namespace; the backbone's attachments go under peft.*
-        b = self.backbone
-        return {"encoder": b, "peft": {"lora": b.lora, "vpt": b.vpt, "adapter": b.adapter},
-                "neck": self.neck, "decoder": self.decoder}
+        # the root of the flat namespace; attachments go under peft.*, not encoder.*
+        peft = {m.attr: getattr(self.backbone, m.attr) for m in METHODS.values() if m.attr}
+        encoder = {k: v for k, v in vars(self.backbone).items() if k not in peft}
+        return {"encoder": encoder, "peft": peft, "neck": self.neck, "decoder": self.decoder}
 
     def trainable_parameters(self):
         for name, t in self.named_parameters():
@@ -111,11 +111,8 @@ def build_model(backbone_cfg: BackboneConfig, decoder_cfg: DecoderConfig, method
     ss = np.random.SeedSequence(seed)
     backbone_seed, attach_seed, head_seed = [int(s.generate_state(1)[0]) for s in ss.spawn(3)]
     backbone = ViTBackbone(backbone_cfg, seed=backbone_seed)
-    if method == "lora":
-        attach_lora(backbone, lora_cfg or LoraConfig(), seed=attach_seed)
-    elif method == "vpt":
-        attach_vpt(backbone, vpt_cfg or VptConfig(), seed=attach_seed)
-    elif method == "vit_adapter":
-        attach_vit_adapter(backbone, adapter_cfg or VitAdapterConfig(), seed=attach_seed)
+    attach = METHODS[method].attach
+    if attach is not None:
+        attach(backbone, attachment_config(method, lora_cfg, vpt_cfg, adapter_cfg), seed=attach_seed)
     model = SegmentationModel(backbone, decoder_cfg, seed=head_seed)
     return apply_freeze_policy(model, method)

@@ -97,9 +97,8 @@ class ConvTranspose2d(Module):
         self.stride = stride
         self.padding = padding
 
-    def __call__(self, x: Tensor, output_size=None) -> Tensor:
-        return F.conv_transpose2d(x, self.weight, self.bias, stride=self.stride,
-                                  padding=self.padding, output_size=output_size)
+    def __call__(self, x: Tensor) -> Tensor:
+        return F.conv_transpose2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
 
 
 class LayerNorm(Module):

@@ -11,6 +11,7 @@ parameters move away from their zero initialization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -22,8 +23,6 @@ from .nn import Conv2d, Linear, Module, param, zeros_param
 LORA_TARGETS = ("attention-query", "attention-value", "mlp-fc1", "mlp-fc2")
 _TARGET_ATTR = {"attention-query": ("attn", "q"), "attention-value": ("attn", "v"),
                 "mlp-fc1": ("mlp", "fc1"), "mlp-fc2": ("mlp", "fc2")}
-
-POLICIES = ("full_finetune", "linear_probe", "lora", "vpt", "vit_adapter")
 
 
 @dataclass(frozen=True)
@@ -212,7 +211,7 @@ class VitAdapterAttachment(Module):
 def attach_lora(backbone: ViTBackbone, cfg: LoraConfig, seed: int = 0) -> ViTBackbone:
     """Wrap the configured linear maps of every block; forward is unchanged
     until the adapters train (the up matrices start at zero)."""
-    if getattr(backbone, "lora", None) is not None:
+    if backbone.lora is not None:
         raise ConfigError("backbone already has low-rank adapters attached")
     rng = np.random.default_rng(seed)
     attachment = LoraAttachment(cfg=cfg)
@@ -233,8 +232,7 @@ def attach_lora(backbone: ViTBackbone, cfg: LoraConfig, seed: int = 0) -> ViTBac
 def merge_lora(backbone: ViTBackbone) -> ViTBackbone:
     """Materialize every effective weight and drop the wrappers. Calling this
     on a backbone without adapters is a no-op, so merging is idempotent."""
-    attachment = getattr(backbone, "lora", None)
-    if attachment is None:
+    if backbone.lora is None:
         return backbone
     for block in backbone.blocks:
         for layers in (block.attn, block.mlp):
@@ -262,42 +260,68 @@ def attach_vit_adapter(backbone: ViTBackbone, cfg: VitAdapterConfig, seed: int =
     return backbone
 
 
-def attachment_kind(backbone: ViTBackbone) -> str | None:
-    if getattr(backbone, "lora", None) is not None:
-        return "lora"
-    if backbone.vpt is not None:
-        return "vpt"
-    if backbone.adapter is not None:
-        return "vit_adapter"
-    return None
-
-
 # ---------------------------------------------------------------------------
 # freeze policies
 
 
+@dataclass(frozen=True)
+class Method:
+    """One freeze policy: where its attachment lives and what it trains."""
+    attr: str | None  # backbone attribute holding the attachment; also its peft.<attr>. namespace
+    attach: Callable | None
+    config: type | None
+    trains_encoder: bool = False
+
+
+METHODS = {
+    "full_finetune": Method(None, None, None, trains_encoder=True),
+    "linear_probe": Method(None, None, None),
+    "lora": Method("lora", attach_lora, LoraConfig),
+    "vpt": Method("vpt", attach_vpt, VptConfig),
+    "vit_adapter": Method("adapter", attach_vit_adapter, VitAdapterConfig),
+}
+POLICIES = tuple(METHODS)
+_ALIASES = {"full_fine_tune": "full_finetune"}
+# ViT-Adapter's extractor feeds only the pyramid, which single-scale heads never read
+EXTRACTOR = "peft.adapter.extract."
+
+
 def normalize_policy(name: str) -> str:
+    """The canonical policy name: hyphens read as underscores, plus aliases."""
     norm = name.replace("-", "_")
-    if norm == "full_fine_tune":
-        norm = "full_finetune"
-    if norm not in POLICIES:
+    norm = _ALIASES.get(norm, norm)
+    if norm not in METHODS:
         raise ConfigError(f"unknown freeze policy {name!r}; valid: {list(POLICIES)}")
     return norm
 
 
+def attachment_config(policy: str, *configs):
+    """The policy's attachment config: the one of ``configs`` of its class, or
+    that class's default; None for a policy without an attachment."""
+    cls = METHODS[normalize_policy(policy)].config
+    if cls is None:
+        return None
+    return next((c for c in configs if isinstance(c, cls)), None) or cls()
+
+
+def attachment_kind(backbone: ViTBackbone) -> str | None:
+    """The policy whose attachment the backbone carries, if any."""
+    return next((policy for policy, m in METHODS.items()
+                 if m.attr is not None and getattr(backbone, m.attr) is not None), None)
+
+
 def policy_trains(policy: str, name: str) -> bool:
     """Whether a parameter name belongs to the policy's trainable set."""
-    if policy == "full_finetune":
-        return True
-    if name.startswith(("neck.", "decoder.")):
-        return True
-    if policy == "lora":
-        return name.startswith("peft.lora.")
-    if policy == "vpt":
-        return name.startswith("peft.vpt.")
-    if policy == "vit_adapter":
-        return name.startswith("peft.adapter.")
-    return False
+    method = METHODS[normalize_policy(policy)]
+    return (method.trains_encoder or name.startswith(("neck.", "decoder."))
+            or method.attr is not None and name.startswith(f"peft.{method.attr}."))
+
+
+def head_trains(policy: str, decoder_cfg, name: str) -> bool:
+    """``policy_trains`` with the head in place: a single-scale head leaves
+    the extractor frozen, since nothing it reads depends on it."""
+    return policy_trains(policy, name) and (decoder_cfg.needs_pyramid
+                                            or not name.startswith(EXTRACTOR))
 
 
 def apply_freeze_policy(model, policy: str):
@@ -305,14 +329,11 @@ def apply_freeze_policy(model, policy: str):
     the tape, so frozen values stay bit-identical across optimization."""
     policy = normalize_policy(policy)
     kind = attachment_kind(model.backbone)
-    if policy in ("lora", "vpt", "vit_adapter") and kind != policy:
-        raise ConfigError(f"policy {policy!r} requires a matching attachment, found {kind!r}")
-    if policy in ("full_finetune", "linear_probe") and kind is not None:
-        raise ConfigError(f"policy {policy!r} is incompatible with the {kind!r} attachment")
-    # the extractor feeds only the pyramid, which single-scale heads never read
-    unread = () if model.decoder_cfg.needs_pyramid else ("peft.adapter.extract.",)
+    needed = policy if METHODS[policy].attr else None
+    if kind != needed:
+        raise ConfigError(f"policy {policy!r} expects attachment {needed!r}, found {kind!r}")
     for name, tensor in model.named_parameters():
-        tensor.requires_grad = policy_trains(policy, name) and not name.startswith(unread)
+        tensor.requires_grad = head_trains(policy, model.decoder_cfg, name)
     model.policy = policy
     return model
 

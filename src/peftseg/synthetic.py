@@ -69,12 +69,7 @@ class SyntheticConfig:
         return self.regions[-1]
 
 
-def _unit(rng: np.random.Generator, dim: int) -> np.ndarray:
-    v = rng.normal(size=dim)
-    return v / np.linalg.norm(v)
-
-
-def _class_direction(rng: np.random.Generator, dim: int, informative: int) -> np.ndarray:
+def _class_direction(rng: np.random.Generator, dim: int, informative: int = 0) -> np.ndarray:
     """Unit direction; with ``informative`` set, the trailing bands carry only
     a small share of the energy, mimicking sensors whose core bands hold most
     of the discriminative signal."""
@@ -93,9 +88,9 @@ def class_signatures(cfg: SyntheticConfig) -> dict[str, np.ndarray]:
     polarity_dirs = np.stack([_class_direction(rng, c, cfg.informative_bands) for _ in range(k)])
     tables = {}
     for region in cfg.regions:
-        offset = cfg.region_jitter * _unit(rng, c)
+        offset = cfg.region_jitter * _class_direction(rng, c)
         if region == cfg.ghos_region:
-            offset = cfg.ghos_offset * _unit(rng, c)
+            offset = cfg.ghos_offset * _class_direction(rng, c)
         table = np.empty((k, 2, c))
         for cls in range(k):
             center = cfg.linear_amplitude * linear_dirs[cls] + offset
@@ -151,7 +146,8 @@ def generate_synthetic(cfg: SyntheticConfig, root) -> DatasetManifest:
     """
     tables = class_signatures(cfg)
     geo_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 1]))
-    shift_dir = _unit(np.random.default_rng(np.random.SeedSequence([cfg.seed, 2])), len(cfg.bands))
+    shift_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 2]))
+    shift_dir = _class_direction(shift_rng, len(cfg.bands))
 
     region_centers = {}
     for i, region in enumerate(cfg.regions):

@@ -14,8 +14,10 @@ from peftseg.diagnostics import (adapter_param_count, distance_report,
                                  parameter_memory_report, peft_param_count,
                                  split_embeddings, traced_activation_elements,
                                  vpt_param_count)
+from peftseg.errors import ConfigError
 from peftseg.model import build_model
-from peftseg.peft import LoraConfig, VitAdapterConfig, VptConfig, count_parameters
+from peftseg.peft import (POLICIES, LoraConfig, VitAdapterConfig, VptConfig, apply_freeze_policy,
+                          count_parameters, policy_trains)
 
 from conftest import TINY_ADAPTER, tiny_backbone
 
@@ -145,6 +147,12 @@ def test_metadata_embedding_counts():
     assert with_meta - without == 3 * (2 * d + d) + (d + d)
 
 
+# alternative spellings, each with the canonical name it means
+ALIASES = {"full-finetune": "full_finetune", "full_fine_tune": "full_finetune",
+           "full-fine-tune": "full_finetune", "linear-probe": "linear_probe",
+           "vit-adapter": "vit_adapter"}
+
+
 def test_report_trainable_matches_built_model(desk_backbone):
     for kind in ("linear", "unet"):
         dec_cfg = DecoderConfig(kind, 2)
@@ -154,6 +162,48 @@ def test_report_trainable_matches_built_model(desk_backbone):
             model = build_model(desk_backbone, dec_cfg, row["method"], adapter_cfg=TINY_ADAPTER)
             assert count_parameters(model).trainable == row["trainable_params"], \
                 (kind, row["method"])
+        rows = parameter_memory_report(desk_backbone, dec_cfg, methods=tuple(ALIASES),
+                                       adapter=TINY_ADAPTER, include_activations=False)
+        for alias, row in zip(ALIASES, rows):
+            model = build_model(desk_backbone, dec_cfg, alias, adapter_cfg=TINY_ADAPTER)
+            assert count_parameters(model).trainable == row["trainable_params"], (kind, alias)
+
+
+def test_report_rows_of_aliases_equal_the_canonical_rows(desk_backbone):
+    for kind in ("linear", "unet"):
+        dec_cfg = DecoderConfig(kind, 2)
+        for alias in ("full-finetune", "vit-adapter", "full_fine_tune"):
+            rows = [parameter_memory_report(desk_backbone, dec_cfg, methods=(name,),
+                                            adapter=TINY_ADAPTER, include_activations=True)
+                    for name in (alias, ALIASES[alias])]
+            assert rows[0] == rows[1], (kind, alias)
+        with pytest.raises(ConfigError):
+            parameter_memory_report(desk_backbone, dec_cfg, methods=("bogus",),
+                                    include_activations=False)
+
+
+def test_policy_entry_points_agree_on_every_spelling(desk_backbone):
+    """The report, policy_trains, apply_freeze_policy, build_model and
+    peft_param_count give one answer per policy, whatever its spelling."""
+    dec_cfg = DecoderConfig("unet", 2)  # a pyramid head freezes nothing the policy trains
+    for name in POLICIES + tuple(ALIASES):
+        model = build_model(desk_backbone, dec_cfg, name, adapter_cfg=TINY_ADAPTER)
+        assert model.policy == ALIASES.get(name, name)
+        assert all(t.requires_grad == policy_trains(name, n) for n, t in model.named_parameters())
+        assert apply_freeze_policy(model, name) is model
+        report = count_parameters(model)
+        assert peft_param_count(desk_backbone, name, adapter=TINY_ADAPTER) == \
+            report.attachment_total()
+        [row] = parameter_memory_report(desk_backbone, dec_cfg, methods=(name,),
+                                        adapter=TINY_ADAPTER, include_activations=False)
+        assert row["method"] == model.policy and row["trainable_params"] == report.trainable
+    model = build_model(desk_backbone, dec_cfg, "lora")
+    for call in (lambda: build_model(desk_backbone, dec_cfg, "bogus"),
+                 lambda: policy_trains("bogus", "decoder.head.weight"),
+                 lambda: apply_freeze_policy(model, "bogus"),
+                 lambda: peft_param_count(desk_backbone, "bogus")):
+        with pytest.raises(ConfigError):
+            call()
 
 
 def test_report_rows_and_footprint_ordering(desk_backbone):

@@ -261,3 +261,11 @@ def test_policy_trains_name_rules():
     assert policy_trains("linear_probe", "decoder.head.weight")
     assert not policy_trains("linear_probe", "peft.vpt.prompts.0")
     assert policy_trains("full_finetune", "encoder.pos_table")
+    # every spelling of a policy means the same set
+    assert policy_trains("full-finetune", "encoder.pos_table")
+    assert policy_trains("full_fine_tune", "encoder.pos_table")
+    assert policy_trains("vit-adapter", "peft.adapter.stem.0.weight")
+    assert not policy_trains("vit-adapter", "encoder.pos_table")
+    assert not policy_trains("linear-probe", "encoder.pos_table")
+    with pytest.raises(ConfigError):
+        policy_trains("bogus", "decoder.head.weight")

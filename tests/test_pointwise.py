@@ -2,6 +2,8 @@
 keeps for its backward rule, and softmax with the attention scale folded in.
 GELU's value at 0 and its dtypes are checked in ``test_primitives``."""
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from scipy.special import erf
@@ -61,6 +63,26 @@ def test_gelu_keeps_its_derivative_only_when_grad_is_enabled():
         y_eval, ctx = _REGISTRY["gelu"].forward([x], {})
     assert ctx is None and d is not None
     assert y_eval.tobytes() == y.tobytes()
+
+
+def test_gelu_keeps_no_derivative_when_no_node_is_recorded(monkeypatch):
+    """With grad enabled, a GELU whose input needs no gradient (a frozen
+    encoder fed leaf images) records no node, so its forward keeps nothing."""
+    seen = []
+    gelu = _REGISTRY["gelu"]
+
+    def spy(datas, attrs):
+        out = gelu.forward(datas, attrs)
+        seen.append(out[1])
+        return out
+
+    monkeypatch.setitem(_REGISTRY, "gelu", replace(gelu, forward=spy))
+    x = np.linspace(-3, 3, 11, dtype=np.float32)
+    frozen = F.gelu(Tensor(x))
+    trained = F.gelu(Tensor(x, requires_grad=True))
+    assert frozen.node is None and seen[0] is None
+    assert trained.node is not None and seen[1] is not None
+    assert frozen.data.tobytes() == trained.data.tobytes()
 
 
 def test_softmax_alpha_gives_the_bytes_of_scale_then_softmax():
