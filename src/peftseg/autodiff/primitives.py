@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import erf
 
-from ..errors import ShapeError, UnknownPrimitiveError
+from ..errors import InputTypeError, ShapeError, UnknownPrimitiveError
 from .tensor import HEAP_ARRAY_BYTES, Node, Tensor, grad_enabled, no_grad
 
 _INV_SQRT2 = 0.7071067811865476
@@ -93,6 +93,9 @@ def apply_primitive(op_id: str, inputs, attrs: dict | None = None) -> Tensor:
         raise UnknownPrimitiveError(f"unknown primitive {op_id!r}") from None
     attrs = {} if attrs is None else attrs
     inputs = list(inputs)
+    for i, t in enumerate(inputs):
+        if not isinstance(t, Tensor):
+            raise InputTypeError(f"{op_id}: input {i} is a {type(t).__name__}, not a Tensor")
     needs = tuple(t.requires_grad or t.node is not None for t in inputs) if grad_enabled() else ()
     record = any(needs)
     # a forward sees grad enabled only when a node will be recorded

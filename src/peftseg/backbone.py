@@ -165,14 +165,23 @@ class TransformerBlock(Module):
         t = F.reshape(t, (b, n, self.heads, self.head_dim))
         return F.transpose(t, (0, 2, 1, 3))
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, kv_rows: int = 0) -> Tensor:
+        """Run the block on (B, n, d) rows. The first ``kv_rows`` rows only
+        supply keys and values: no query, output projection or MLP runs on
+        them, and the block returns the other n - kv_rows rows."""
         b, n, d = x.shape
+        if not 0 <= kv_rows < n:
+            raise ShapeError(f"block: {kv_rows} key/value-only rows outside [0, {n})")
+        m = n - kv_rows
         h = self.ln1(x)
-        q = self._split_heads(self.attn["q"](h), b, n)
+        rows = (None, (kv_rows, n), None)
+        q = self._split_heads(self.attn["q"](F.slice_ranges(h, rows) if kv_rows else h), b, m)
         k = self._split_heads(self.attn["k"](h), b, n)
         v = self._split_heads(self.attn["v"](h), b, n)
         ctx = F.attention(q, k, v)
-        ctx = F.reshape(F.transpose(ctx, (0, 2, 1, 3)), (b, n, d))
+        ctx = F.reshape(F.transpose(ctx, (0, 2, 1, 3)), (b, m, d))
+        if kv_rows:
+            x = F.slice_ranges(x, rows)
         x = F.add(x, self.attn["o"](ctx))
         h2 = self.ln2(x)
         return F.add(x, self.mlp["fc2"](F.gelu(self.mlp["fc1"](h2))))
@@ -230,8 +239,11 @@ class ViTBackbone(Module):
     def forward_features(self, tokens: Tensor, prompts=None, adapter_tokens=None) -> list[Tensor]:
         """Run the transformer and return the four tapped feature maps.
 
-        Each tap is reshaped to (.., H/p, W/p, d); prompt positions, when
-        present, are excluded from every tapped map.
+        Each tap is reshaped to (.., H/p, W/p, d). Deep-VPT prompt rows,
+        when present, only supply keys and values: each block attends from
+        the patch rows over ``[prompts; patches]`` and returns the patch rows
+        alone, so no query, output projection or MLP runs on a prompt row and
+        no tapped map holds one.
         """
         cfg = self.cfg
         squeeze = tokens.ndim == 2
@@ -243,10 +255,16 @@ class ViTBackbone(Module):
 
         if prompts is None and self.vpt is not None:
             prompts = self.vpt.prompts
-        if prompts is not None and len(prompts) != cfg.depth:
-            raise ShapeError(f"need one prompt block per layer ({cfg.depth}), got {len(prompts)}")
-        if prompts is not None and self.adapter is not None:
-            raise ShapeError("prompt blocks and adapter injection cannot be combined")
+        if prompts is not None:
+            if len(prompts) != cfg.depth:
+                raise ShapeError(f"need one prompt block per layer ({cfg.depth}), got {len(prompts)}")
+            if self.adapter is not None:
+                raise ShapeError("prompt blocks and adapter injection cannot be combined")
+            for layer, p in enumerate(prompts, start=1):
+                if not (isinstance(p, Tensor) and p.ndim == 2 and p.shape[1] == d):
+                    got = p.shape if isinstance(p, Tensor) else type(p).__name__
+                    raise ShapeError(f"prompt block of layer {layer} must be a 2-D Tensor "
+                                     f"of width {d}, got {got}")
 
         taps = {}
         for layer, block in enumerate(self.blocks, start=1):
@@ -258,8 +276,7 @@ class ViTBackbone(Module):
                 block_prompts = F.reshape(prompts[layer - 1], (1, n_p, d))
                 if b > 1:
                     block_prompts = F.concat([block_prompts] * b, axis=0)
-                x = block(F.concat([block_prompts, x], axis=1))
-                x = F.slice_ranges(x, (None, (n_p, n_p + n), None))
+                x = block(F.concat([block_prompts, x], axis=1), kv_rows=n_p)
             else:
                 x = block(x)
             if layer in cfg.tap_layers:

@@ -13,6 +13,10 @@ class UnknownPrimitiveError(EngineError):
     """A primitive identifier is not registered."""
 
 
+class InputTypeError(EngineError):
+    """A primitive received an input that is not a Tensor."""
+
+
 class GraphConsumedError(EngineError):
     """A backward pass reached a graph that an earlier backward consumed."""
 

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from peftseg.autodiff import Tensor
-from peftseg.backbone import BackboneConfig, ViTBackbone, default_tap_layers
-from peftseg.errors import ConfigError, ShapeError
+from peftseg.autodiff import Tensor, backward, functional as F, grad_check, trace
+from peftseg.backbone import BackboneConfig, TransformerBlock, ViTBackbone, default_tap_layers
+from peftseg.decoders import DecoderConfig
+from peftseg.errors import ConfigError, InputTypeError, ShapeError
+from peftseg.model import build_model
 
 from conftest import BANDS6, BANDS10, tiny_backbone
 
@@ -186,3 +188,90 @@ def test_image_embedding_batch_matches_single():
     batch = backbone.image_embedding(images)
     singles = np.stack([backbone.image_embedding(images[i]) for i in range(3)])
     np.testing.assert_allclose(batch, singles, atol=1e-5)
+
+
+# -- deep VPT: prompt rows only supply keys and values -------------------------
+
+
+def test_vpt_attention_has_no_prompt_queries():
+    cfg = tiny_backbone()
+    model = build_model(cfg, DecoderConfig("linear", 2), "vpt", seed=0)
+    n_p = model.backbone.vpt.prompts[0].shape[0]
+    images = RNG.normal(size=(2, 6, 64, 64)).astype(np.float32)
+    masks = RNG.integers(0, 2, size=(2, 64, 64))
+    loss = F.cross_entropy(model.forward(images, training=True), masks)
+    shapes = [node.shape for node in trace(loss).nodes if node.op_id == "softmax"]
+    n = cfg.num_patches
+    assert shapes == [(2, cfg.heads, n, n_p + n)] * cfg.depth
+
+
+def _block_grads(block, x, prompts, weights, kv_rows):
+    """Output and gradients of sum(weights * out) for x, prompts and every
+    block parameter; ``kv_rows`` 0 is the reference: the full block on
+    [prompts; x], then the prompt rows sliced off."""
+    b, n, d = x.shape
+    n_p = prompts.shape[0]
+    stacked = F.concat([F.reshape(prompts, (1, n_p, d))] * b, axis=0)
+    rows = F.concat([stacked, x], axis=1)
+    if kv_rows:
+        out = block(rows, kv_rows=kv_rows)
+    else:
+        out = F.slice_ranges(block(rows), (None, (n_p, n_p + n), None))
+    grads = backward(F.sum(F.mul(out, weights)))
+    params = dict(block.named_parameters())
+    return out.data, grads[x], grads[prompts], {name: grads[t] for name, t in params.items()}
+
+
+def test_kv_rows_block_matches_full_block_then_slice_bit_for_bit():
+    cfg = tiny_backbone()
+    block = ViTBackbone(cfg, seed=12).blocks[0]
+    x = Tensor(RNG.normal(size=(2, cfg.num_patches, 64)).astype(np.float32), requires_grad=True)
+    prompts = Tensor(RNG.uniform(-0.1, 0.1, size=(7, 64)).astype(np.float32), requires_grad=True)
+    weights = Tensor(RNG.normal(size=(2, cfg.num_patches, 64)).astype(np.float32))
+    out, gx, gp, gparams = _block_grads(block, x, prompts, weights, kv_rows=7)
+    ref_out, ref_gx, ref_gp, ref_gparams = _block_grads(block, x, prompts, weights, kv_rows=0)
+    np.testing.assert_array_equal(out, ref_out)
+    np.testing.assert_array_equal(gx, ref_gx)
+    np.testing.assert_array_equal(gp, ref_gp)
+    assert gparams.keys() == ref_gparams.keys() and len(gparams) == 16
+    for name in gparams:
+        np.testing.assert_array_equal(gparams[name], ref_gparams[name], err_msg=name)
+
+
+def test_kv_rows_block_grad_check():
+    cfg = BackboneConfig(embed_dim=8, depth=4, heads=2, patch_size=8, band_ids=BANDS6,
+                         image_size=(8, 8))
+    block = TransformerBlock(np.random.default_rng(13), cfg)
+    for _, t in block.named_parameters():
+        t.data = RNG.normal(0.0, 0.5, size=t.shape)
+    weights = Tensor(RNG.normal(size=(2, 3, 8)))
+    point = Tensor(RNG.normal(size=(2, 5, 8)), dtype=np.float64)
+    assert grad_check(lambda x: F.sum(F.mul(block(x, kv_rows=2), weights)), point, eps=1e-6) <= 1e-6
+
+
+def test_kv_rows_outside_range_rejected():
+    block = ViTBackbone(tiny_backbone(), seed=0).blocks[0]
+    x = Tensor(np.zeros((1, 5, 64), dtype=np.float32))
+    for kv_rows in (-1, 5, 6):
+        with pytest.raises(ShapeError, match="key/value-only rows"):
+            block(x, kv_rows=kv_rows)
+
+
+def test_bad_prompt_block_names_its_layer():
+    cfg = tiny_backbone()
+    backbone = ViTBackbone(cfg, seed=0)
+    tokens = backbone.embed_patches(np.zeros((6, 64, 64), dtype=np.float32))
+    good = [Tensor(np.zeros((3, 64), dtype=np.float32)) for _ in range(cfg.depth)]
+    for layer, bad in ((1, np.zeros((3, 64), dtype=np.float32)),
+                       (3, Tensor(np.zeros((3, 16), dtype=np.float32))),
+                       (4, Tensor(np.zeros((1, 3, 64), dtype=np.float32)))):
+        prompts = list(good)
+        prompts[layer - 1] = bad
+        with pytest.raises(ShapeError, match=f"layer {layer} "):
+            backbone.forward_features(tokens, prompts=prompts)
+
+
+def test_primitive_rejects_a_non_tensor_input():
+    a = Tensor(np.ones(3, dtype=np.float32))
+    with pytest.raises(InputTypeError, match="add: input 1 is a ndarray"):
+        F.add(a, np.ones(3, dtype=np.float32))
