@@ -63,10 +63,6 @@ class FeaturePyramid:
                 raise ShapeError(f"pyramid scales must strictly decrease, got {extents}")
         self.maps = maps
 
-    @property
-    def channels(self) -> tuple[int, ...]:
-        return tuple(m.shape[1] for m in self.maps)
-
 
 def _to_channel_first(tap: Tensor) -> Tensor:
     if tap.ndim != 4:

@@ -38,10 +38,9 @@ def split_embeddings(model: SegmentationModel, manifest: DatasetManifest, split:
                      bands=None) -> tuple[list[str], list[str], np.ndarray]:
     """Image embeddings for one split: (sample_ids, regions, (n, d) matrix)."""
     samples = load_split(manifest, split, bands, model.backbone.cfg.image_size)
-    metadata = model.backbone.cfg.metadata_enabled
     rows = []
     for idx in batches(list(range(len(samples))), EMBED_BATCH):
-        images, _, meta, batch_bands = assemble_batch(samples, idx, metadata)
+        images, _, meta, batch_bands = assemble_batch(samples, idx)
         rows.append(model.backbone.image_embedding(images, batch_bands, meta).astype(np.float64))
     return [s.sample_id for s in samples], [s.region for s in samples], np.concatenate(rows)
 

@@ -37,11 +37,6 @@ class ConfusionMatrix:
     def total(self) -> int:
         return int(self.matrix.sum())
 
-    def merge(self, other: "ConfusionMatrix") -> None:
-        if other.num_classes != self.num_classes:
-            raise MetricError("confusion matrices disagree in class count")
-        self.matrix += other.matrix
-
 
 def per_class_iou(cm: ConfusionMatrix) -> np.ndarray:
     """IoU per class; NaN where the union is empty (class absent on both sides)."""

@@ -65,28 +65,19 @@ class SegmentationModel(Module):
         return state
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
-        own = {name: t for name, t in self.named_parameters()}
-        buffers = dict(self.named_buffers())
-        seen = set()
-        for name, arr in state.items():
-            if name.startswith("buffers."):
-                key = name[len("buffers."):]
-                if key not in buffers:
-                    raise CheckpointError(f"unexpected buffer {key!r} in checkpoint")
-                if buffers[key].shape != arr.shape:
-                    raise CheckpointError(f"buffer {key!r}: shape {arr.shape} vs {buffers[key].shape}")
-                buffers[key][...] = arr
-                seen.add(name)
-                continue
+        """Copy ``state`` into the model's arrays in place. Every name is checked
+        before anything is written, so a rejected state leaves the model as it was."""
+        own = self.state_dict()
+        for name in sorted(own.keys() | state.keys()):
             if name not in own:
                 raise CheckpointError(f"unexpected tensor {name!r} in checkpoint")
-            if own[name].shape != tuple(arr.shape):
-                raise CheckpointError(f"tensor {name!r}: shape {tuple(arr.shape)} vs {own[name].shape}")
-            own[name].data[...] = arr
-            seen.add(name)
-        missing = ({k for k in own} | {f"buffers.{k}" for k in buffers}) - seen
-        if missing:
-            raise CheckpointError(f"checkpoint is missing tensors: {sorted(missing)[:5]}...")
+            if name not in state:
+                raise CheckpointError(f"checkpoint is missing tensor {name!r}")
+            if own[name].shape != np.shape(state[name]):
+                raise CheckpointError(f"tensor {name!r}: shape {np.shape(state[name])} "
+                                      f"vs {own[name].shape}")
+        for name, arr in state.items():
+            own[name][...] = arr
 
     def save(self, directory) -> None:
         save_checkpoint(directory, self.state_dict())
@@ -96,9 +87,6 @@ class SegmentationModel(Module):
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {name: arr.copy() for name, arr in self.state_dict().items()}
-
-    def restore(self, snap: dict[str, np.ndarray]) -> None:
-        self.load_state_dict(snap)
 
 
 def build_model(backbone_cfg: BackboneConfig, decoder_cfg: DecoderConfig, method: str,

@@ -13,6 +13,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 from .errors import SplitError
 
@@ -106,30 +108,21 @@ def build_class_balanced_splits(pool, quotas=None, excluded_regions=(), ghos_quo
 
 
 def _single_linkage_clusters(pool, buffer_km: float) -> list[list]:
+    """Connected components of the graph joining samples closer than the
+    buffer; members keep pool order, clusters sort by smallest sample id."""
     n = len(pool)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     lats = np.array([e.lat for e in pool])
     lons = np.array([e.lon for e in pool])
-    for i in range(n):
-        dists = haversine_km(lats[i], lons[i], lats[i + 1:], lons[i + 1:])
-        for off in np.nonzero(dists < buffer_km)[0]:
-            ri, rj = find(i), find(i + 1 + int(off))
-            if ri != rj:
-                parent[rj] = ri
-
+    near = [i + 1 + np.nonzero(haversine_km(lats[i], lons[i], lats[i + 1:], lons[i + 1:])
+                               < buffer_km)[0] for i in range(n)]
+    rows = np.repeat(np.arange(n), [len(cols) for cols in near])
+    graph = coo_matrix((np.ones(len(rows), dtype=bool), (rows, np.concatenate(near))),
+                       shape=(n, n))
+    _, labels = connected_components(graph, directed=False)
     groups: dict[int, list] = {}
-    for i, entry in enumerate(pool):
-        groups.setdefault(find(i), []).append(entry)
-    clusters = list(groups.values())
-    clusters.sort(key=lambda cluster: min(e.sample_id for e in cluster))
-    return clusters
+    for label, entry in zip(labels, pool):
+        groups.setdefault(label, []).append(entry)
+    return sorted(groups.values(), key=lambda cluster: min(e.sample_id for e in cluster))
 
 
 def build_buffered_spatial_splits(pool, buffer_km: float = 5.0, ratios=None,

@@ -186,18 +186,16 @@ def batches(indices, batch_size):
         yield indices[start:start + batch_size]
 
 
-def assemble_batch(samples, idx, metadata: bool):
-    """Stack one batch: (images, masks, metadata or None, the batch's band order)."""
+def assemble_batch(samples, idx):
+    """Stack one batch: (images, masks, metadata arrays, the batch's band order)."""
     batch = [samples[i] for i in idx]
     band_orders = {s.bands for s in batch}
     if len(band_orders) != 1:
         raise DataError(f"batch mixes band orders {sorted(band_orders)}")
     images = np.stack([s.image for s in batch])
     masks = np.stack([s.mask for s in batch]).astype(np.int64)
-    meta = None
-    if metadata:
-        meta = {key: np.array([getattr(s, key) for s in batch])
-                for key in ("lat", "lon", "day_of_year", "year")}
+    meta = {key: np.array([getattr(s, key) for s in batch])
+            for key in ("lat", "lon", "day_of_year", "year")}
     return images, masks, meta, band_orders.pop()
 
 
@@ -206,10 +204,9 @@ def _eval_pass(model: SegmentationModel, samples, batch_size: int,
     cm = ConfusionMatrix(num_classes)
     loss_total = 0.0
     weight_total = 0
-    metadata = model.backbone.cfg.metadata_enabled
     with no_grad():
         for idx in batches(list(range(len(samples))), batch_size):
-            images, masks, meta, bands = assemble_batch(samples, idx, metadata)
+            images, masks, meta, bands = assemble_batch(samples, idx)
             logits = model.forward(images, bands=bands, meta=meta, training=False)
             loss = F.cross_entropy(logits, masks, ignore_index=IGNORE_INDEX)
             n_valid = int((masks != IGNORE_INDEX).sum())
@@ -220,9 +217,8 @@ def _eval_pass(model: SegmentationModel, samples, batch_size: int,
     return loss_total / max(weight_total, 1), cm
 
 
-def _split_metrics(model: SegmentationModel, samples, batch_size: int, num_classes: int) -> dict:
-    """Confusion-matrix metrics over loaded samples."""
-    loss, cm = _eval_pass(model, samples, batch_size, num_classes)
+def _metrics(loss: float, cm: ConfusionMatrix) -> dict:
+    """The metrics row of one evaluation pass."""
     return {
         "miou": miou(cm),
         "per_class_iou": per_class_iou(cm).tolist(),
@@ -239,11 +235,12 @@ def evaluate(model: SegmentationModel, manifest: DatasetManifest, split: str,
     if model.decoder_cfg.num_classes != manifest.num_classes:
         raise ConfigError(f"model has {model.decoder_cfg.num_classes} classes, "
                           f"dataset has {manifest.num_classes}")
-    return _split_metrics(model, samples, batch_size, manifest.num_classes)
+    return _metrics(*_eval_pass(model, samples, batch_size, manifest.num_classes))
 
 
 def train(cfg: RunConfig, verbose: bool = False) -> RunResult:
-    """Run the full fine-tuning protocol and return the best-epoch model."""
+    """Run the full fine-tuning protocol and return the best-epoch model; its
+    validation metrics are that epoch's own pass, kept with its weights."""
     manifest = cfg.manifest
     if manifest.num_classes != cfg.decoder.num_classes:
         raise ConfigError(f"decoder expects {cfg.decoder.num_classes} classes, "
@@ -258,7 +255,6 @@ def train(cfg: RunConfig, verbose: bool = False) -> RunResult:
     scheduler = ReduceOnPlateau(optimizer, patience=cfg.plateau_patience, factor=cfg.plateau_factor)
     stopper = EarlyStopping(patience=cfg.early_stop_patience)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 17]))
-    metadata = cfg.backbone.metadata_enabled
 
     history: list[dict] = []
     t_start = time.perf_counter()
@@ -269,7 +265,7 @@ def train(cfg: RunConfig, verbose: bool = False) -> RunResult:
         loss_total = 0.0
         weight_total = 0
         for batch_no, idx in enumerate(batches(order, cfg.batch_size)):
-            images, masks, meta, bands = assemble_batch(train_samples, idx, metadata)
+            images, masks, meta, bands = assemble_batch(train_samples, idx)
             logits = model.forward(images, bands=bands, meta=meta, training=True)
             loss = F.cross_entropy(logits, masks, ignore_index=IGNORE_INDEX)
             loss_value = loss.item()
@@ -286,9 +282,10 @@ def train(cfg: RunConfig, verbose: bool = False) -> RunResult:
                     f"non-finite gradient for {bad} at epoch {epoch}, batch {batch_no}",
                     epoch=epoch, batch=batch_no)
             optimizer.step()
-            loss_total += loss_value * len(idx)
-            weight_total += len(idx)
-        train_loss = loss_total / weight_total
+            n_valid = int((masks != IGNORE_INDEX).sum())
+            loss_total += loss_value * n_valid
+            weight_total += n_valid
+        train_loss = loss_total / max(weight_total, 1)
 
         val_loss, cm = _eval_pass(model, val_samples, cfg.batch_size, manifest.num_classes)
         val_miou = miou(cm)
@@ -307,13 +304,13 @@ def train(cfg: RunConfig, verbose: bool = False) -> RunResult:
 
         stop = stopper.step(val_miou)
         if stopper.best_epoch == epoch:
-            best_state = model.snapshot()
+            best_state, best_val = model.snapshot(), (val_loss, cm)
         scheduler.step(val_miou)
         if stop:
             break
 
-    model.restore(best_state)
-    final = {"val": _split_metrics(model, val_samples, cfg.batch_size, manifest.num_classes)}
+    model.load_state_dict(best_state)
+    final = {"val": _metrics(*best_val)}
     if manifest.has_split("test"):
         final["test"] = evaluate(model, manifest, "test", cfg.batch_size, cfg.bands)
     if manifest.has_split("ghos"):

@@ -1,6 +1,7 @@
 """Checkpoint format: manifest.json + weights.bin, bit-exact round trips."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -137,17 +138,30 @@ def test_adapter_checkpoint_reconstructs_adapted_model(tmp_path):
 
 
 def test_incompatible_shape_rejected(tmp_path):
-    """A wrong-shaped tensor or buffer, or a buffer the model lacks, is rejected."""
+    """A wrong-shaped tensor or buffer, a tensor or buffer the model lacks, or
+    one the checkpoint lacks is rejected by name, and nothing is loaded."""
     wrong = np.zeros((1, 1), dtype=np.float32)
-    cases = (("linear", lambda state: next(iter(state)), wrong),
-             ("unet", lambda state: next(n for n in state if n.startswith("buffers.")), wrong),
+    first_param = lambda state: next(iter(state))
+    first_buffer = lambda state: next(n for n in state if n.startswith("buffers."))
+    cases = (("linear", first_param, wrong),
+             ("unet", first_buffer, wrong),
              ("unet", lambda state: "buffers.decoder.no_such_norm.running_mean",
-              np.zeros(4, dtype=np.float32)))
+              np.zeros(4, dtype=np.float32)),
+             ("linear", lambda state: "decoder.no_such_layer.weight", wrong),
+             ("linear", first_param, None),
+             ("unet", first_buffer, None))
     for i, (kind, pick, arr) in enumerate(cases):
         model = build_model(tiny_backbone(), DecoderConfig(kind, 2), "full_finetune", seed=5)
         state = model.state_dict()
-        state[pick(state)] = arr
+        key = pick(state)
+        if arr is None:
+            del state[key]
+        else:
+            state[key] = arr
         save_checkpoint(tmp_path / f"bad{i}", state)
-        fresh = build_model(tiny_backbone(), DecoderConfig(kind, 2), "full_finetune", seed=5)
-        with pytest.raises(CheckpointError):
+        fresh = build_model(tiny_backbone(), DecoderConfig(kind, 2), "full_finetune", seed=6)
+        before = fresh.snapshot()
+        with pytest.raises(CheckpointError, match=re.escape(repr(key))):
             fresh.load(tmp_path / f"bad{i}")
+        after = fresh.state_dict()
+        assert all(np.array_equal(after[name], before[name]) for name in before)

@@ -25,7 +25,7 @@ def test_neck_pyramid_extents():
     neck = Neck(np.random.default_rng(0), 64)
     pyramid = neck(taps(1, 8, 64))
     assert [tuple(m.shape[2:]) for m in pyramid.maps] == [(32, 32), (16, 16), (8, 8), (4, 4)]
-    assert pyramid.channels == (16, 32, 64, 64)
+    assert [m.shape[1] for m in pyramid.maps] == [16, 32, 64, 64]
 
 
 def test_neck_rejects_three_maps():

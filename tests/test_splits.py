@@ -5,9 +5,9 @@ import pytest
 
 from peftseg.data import SampleInfo
 from peftseg.errors import SplitError
-from peftseg.splits import (audit_splits, build_buffered_spatial_splits,
-                            build_class_balanced_splits, haversine_km,
-                            min_cross_split_distance)
+from peftseg.splits import (_single_linkage_clusters, audit_splits,
+                            build_buffered_spatial_splits, build_class_balanced_splits,
+                            haversine_km, min_cross_split_distance)
 
 
 def entry(sid, region="r", lat=0.0, lon=0.0, labels=(0,)):
@@ -113,6 +113,37 @@ def test_close_samples_share_split_always():
         pool[2:] = [entry(f"far{i}", lat=10.0 + i, lon=30.0) for i in range(8)]
         result = build_buffered_spatial_splits(pool, buffer_km=5.0, seed=seed)
         assert result.assignment["a"] == result.assignment["b"], seed
+
+
+def test_single_linkage_chains_and_orders_clusters():
+    # 0.04 degrees of longitude at the equator is about 4.4 km: z1-z2 and
+    # z2-a link under a 5 km buffer, z1-a (8.9 km) only through z2
+    pool = [entry("z1", lon=0.0), entry("m", lon=5.0), entry("a", lon=0.08),
+            entry("z2", lon=0.04)]
+    clusters = _single_linkage_clusters(pool, buffer_km=5.0)
+    assert [[e.sample_id for e in c] for c in clusters] == [["z1", "a", "z2"], ["m"]]
+
+
+def test_single_linkage_matches_flood_fill_reference():
+    rng = np.random.default_rng(5)
+    pool = [entry(f"s{i:03d}", lat=float(rng.uniform(-0.3, 0.3)),
+                  lon=float(rng.uniform(-0.3, 0.3))) for i in rng.permutation(80)]
+    root = {}
+    for start in pool:
+        if start.sample_id in root:
+            continue
+        root[start.sample_id] = start.sample_id
+        stack = [start]
+        while stack:
+            a = stack.pop()
+            for b in pool:
+                if b.sample_id not in root and haversine_km(a.lat, a.lon, b.lat, b.lon) < 5.0:
+                    root[b.sample_id] = start.sample_id
+                    stack.append(b)
+    expected = sorted(({sid for sid in root if root[sid] == r} for r in set(root.values())), key=min)
+    got = [{e.sample_id for e in c} for c in _single_linkage_clusters(pool, buffer_km=5.0)]
+    assert any(len(c) > 1 for c in got)
+    assert got == expected
 
 
 def test_min_cross_split_distance_at_least_buffer():

@@ -7,7 +7,7 @@ import pytest
 
 from peftseg.autodiff import Tensor
 from peftseg.decoders import DecoderConfig
-from peftseg.data import normalize, subset_bands
+from peftseg.data import IGNORE_INDEX, normalize, subset_bands
 from peftseg.errors import ConfigError, DataError, TrainingDivergedError
 from peftseg.model import build_model
 from peftseg.synthetic import SyntheticConfig, generate_synthetic
@@ -171,6 +171,66 @@ def test_best_checkpoint_is_max_val_miou(mini_manifest):
     assert result.best_val_miou == best["val_miou"]
 
 
+def test_final_val_metrics_are_the_best_epochs_pass(mini_manifest):
+    """final_metrics["val"] is the best epoch's own validation pass, and the
+    restored weights reproduce it."""
+    result = train(mini_run(mini_manifest, max_epochs=5, early_stop_patience=2))
+    row = result.history[result.best_epoch - 1]
+    final = result.final_metrics["val"]
+    assert final["loss"] == row["val_loss"]
+    assert final["miou"] == row["val_miou"]
+    assert evaluate(result.model, mini_manifest, "val", batch_size=4) == final
+
+
+def test_one_validation_pass_per_epoch(mini_manifest, monkeypatch):
+    from peftseg import training
+    val_ids = mini_manifest.split_ids("val")
+    passes, real_eval_pass = [], training._eval_pass
+
+    def counting(model, samples, *args):
+        passes.append([s.sample_id for s in samples] == val_ids)
+        return real_eval_pass(model, samples, *args)
+
+    monkeypatch.setattr(training, "_eval_pass", counting)
+    result = train(mini_run(mini_manifest, max_epochs=3))
+    assert passes == [True] * len(result.history) + [False, False]  # then test and ghos
+
+
+@pytest.fixture(scope="module")
+def cropped_manifest(mini_manifest, tmp_path_factory):
+    """mini_manifest with samples cropped to 20-32 pixels a side, so reflect
+    padding to 32x32 ignores a different pixel count in each sample."""
+    import copy
+    manifest = copy.copy(mini_manifest)
+    manifest.root = tmp_path_factory.mktemp("cropped")
+    for k, info in enumerate(mini_manifest.samples):
+        sample = mini_manifest.load_sample(info.sample_id)
+        side = 32 - 4 * (k % 4)
+        manifest.save_sample(replace(sample, image=sample.image[:, :side, :side],
+                                     mask=sample.mask[:side, :side]))
+    return manifest
+
+
+def test_train_loss_is_pixel_weighted(cropped_manifest, monkeypatch):
+    """train_loss weights each batch's mean loss by its valid pixels, as
+    val_loss does, so ignored padding counts for nothing."""
+    from peftseg.autodiff import functional as F
+    seen, real_cross_entropy = [], F.cross_entropy
+
+    def recording(logits, masks, **kwargs):
+        loss = real_cross_entropy(logits, masks, **kwargs)
+        seen.append((loss.item(), int((masks != IGNORE_INDEX).sum()), len(masks)))
+        return loss
+
+    monkeypatch.setattr(F, "cross_entropy", recording)
+    result = train(mini_run(cropped_manifest, max_epochs=1))
+    n_batches = -(-len(cropped_manifest.split_ids("train")) // 4)
+    losses, pixels, sizes = map(np.array, zip(*seen[:n_batches]))
+    per_pixel = (losses * pixels).sum() / pixels.sum()
+    assert per_pixel != pytest.approx((losses * sizes).sum() / sizes.sum(), rel=1e-9)
+    assert result.history[0]["train_loss"] == pytest.approx(per_pixel, rel=1e-12)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverged_loss_aborts_with_context(mini_manifest):
     cfg = mini_run(mini_manifest, learning_rate=1e6, max_epochs=8)
@@ -284,9 +344,9 @@ def test_batch_mixing_band_orders_rejected(mini_manifest):
     sid = mini_manifest.split_ids("train")[0]
     sample = normalize(mini_manifest.load_sample(sid), mini_manifest.band_stats)
     samples = [sample, subset_bands(sample, ("red", "nir"))]
-    assert assemble_batch(samples, [0], metadata=False)[3] == sample.bands
+    assert assemble_batch(samples, [0])[3] == sample.bands
     with pytest.raises(DataError):
-        assemble_batch(samples, [0, 1], metadata=False)
+        assemble_batch(samples, [0, 1])
 
 
 # ---------------------------------------------------------------------------
