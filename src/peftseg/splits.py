@@ -5,6 +5,15 @@ multi-label pool with excluded regions feeding a geographic hold-out, and a
 buffered spatial builder that single-links samples closer than the buffer
 into clusters and assigns whole clusters to splits, guaranteeing a minimum
 cross-split distance. Both are deterministic given the seed.
+
+Near pairs come from a KD-tree (``scipy.spatial.cKDTree``) over each site's
+3-D unit vector, never from a sweep over all pairs. The chord between two unit
+vectors grows monotonically with great-circle distance, so a chord radius of
+``2 sin(km / 2R)``, widened by a relative 1e-9 plus 1e-12 to cover the
+rounding of both the vectors and ``haversine_km``, returns every pair the
+haversine test could accept. ``haversine_km`` then decides each candidate and
+gives every reported distance, so clusters and minima are those an exhaustive
+pairwise sweep would produce, bit for bit.
 """
 
 from __future__ import annotations
@@ -15,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from .errors import SplitError
 
@@ -107,17 +117,44 @@ def build_class_balanced_splits(pool, quotas=None, excluded_regions=(), ghos_quo
     return SplitResult(assignment=assignment, report=report)
 
 
+def _coordinates(entries) -> tuple[np.ndarray, np.ndarray]:
+    """Latitudes and longitudes in degrees; a non-finite or out-of-range value
+    raises SplitError naming its sample."""
+    lats = np.array([e.lat for e in entries], dtype=np.float64)
+    lons = np.array([e.lon for e in entries], dtype=np.float64)
+    bad = ~((np.abs(lats) <= 90) & (np.abs(lons) <= 180))  # NaN fails both tests
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise SplitError(f"sample {entries[i].sample_id}: latitude {lats[i]} and longitude "
+                         f"{lons[i]} must be finite, within [-90, 90] and [-180, 180]")
+    return lats, lons
+
+
+def _check_buffer(buffer_km) -> None:
+    if not (np.isfinite(buffer_km) and buffer_km >= 0):
+        raise SplitError(f"buffer_km must be finite and non-negative, got {buffer_km}")
+
+
+def _unit_vectors(lats, lons) -> np.ndarray:
+    lat, lon = np.deg2rad(lats), np.deg2rad(lons)
+    return np.column_stack([np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon), np.sin(lat)])
+
+
+def _widen(chord: float) -> float:
+    """A chord radius enlarged past the rounding of unit vectors and haversine."""
+    return float(chord) * (1 + 1e-9) + 1e-12
+
+
 def _single_linkage_clusters(pool, buffer_km: float) -> list[list]:
     """Connected components of the graph joining samples closer than the
     buffer; members keep pool order, clusters sort by smallest sample id."""
     n = len(pool)
-    lats = np.array([e.lat for e in pool])
-    lons = np.array([e.lon for e in pool])
-    near = [i + 1 + np.nonzero(haversine_km(lats[i], lons[i], lats[i + 1:], lons[i + 1:])
-                               < buffer_km)[0] for i in range(n)]
-    rows = np.repeat(np.arange(n), [len(cols) for cols in near])
-    graph = coo_matrix((np.ones(len(rows), dtype=bool), (rows, np.concatenate(near))),
-                       shape=(n, n))
+    lats, lons = _coordinates(pool)
+    chord = 2 * np.sin(min(buffer_km / (2 * EARTH_RADIUS_KM), np.pi / 2))
+    pairs = cKDTree(_unit_vectors(lats, lons)).query_pairs(_widen(chord), output_type="ndarray")
+    i, j = pairs.T
+    near = haversine_km(lats[i], lons[i], lats[j], lons[j]) < buffer_km
+    graph = coo_matrix((np.ones(int(near.sum()), dtype=bool), (i[near], j[near])), shape=(n, n))
     _, labels = connected_components(graph, directed=False)
     groups: dict[int, list] = {}
     for label, entry in zip(labels, pool):
@@ -139,6 +176,7 @@ def build_buffered_spatial_splits(pool, buffer_km: float = 5.0, ratios=None,
     if any(r < 0 for r in ratios.values()) or abs(sum(ratios.values()) - 1.0) > 1e-9:
         raise SplitError(f"ratios must be non-negative and sum to 1, got {ratios}")
     active = [s for s, r in ratios.items() if r > 0]
+    _check_buffer(buffer_km)
 
     clusters = _single_linkage_clusters(pool, buffer_km)
     if len(clusters) < len(active):
@@ -170,17 +208,38 @@ def build_buffered_spatial_splits(pool, buffer_km: float = 5.0, ratios=None,
 
 
 def min_cross_split_distance(pool, assignment: dict[str, str]) -> float:
-    """Exhaustive minimum haversine distance between samples of different splits."""
+    """Minimum haversine distance between samples of different splits, exact:
+    the KD-tree picks the candidates, haversine decides.
+
+    A tree over the other splits' samples gives each sample its nearest
+    cross-split chord. Only the rows holding a cross-split sample within the
+    smallest of those chords, widened for rounding, are measured, each pair
+    once in the row form of a sweep over all pairs (sample ``i`` against its
+    partners ``j > i`` in pool order), so the returned float is the
+    exhaustive minimum.
+    """
     entries = [e for e in pool if e.sample_id in assignment]
-    best = float("inf")
-    lats = np.array([e.lat for e in entries])
-    lons = np.array([e.lon for e in entries])
+    lats, lons = _coordinates(entries)
     splits = np.array([assignment[e.sample_id] for e in entries])
-    for i in range(len(entries)):
-        dists = haversine_km(lats[i], lons[i], lats[i + 1:], lons[i + 1:])
-        cross = splits[i + 1:] != splits[i]
-        if cross.any():
-            best = min(best, float(dists[cross].min()))
+    names = np.unique(splits)
+    if len(names) < 2:
+        return float("inf")
+    xyz = _unit_vectors(lats, lons)
+    others: dict[str, tuple[cKDTree, np.ndarray]] = {}
+    nearest = np.empty(len(entries))
+    for name in names:
+        mine = splits == name
+        rows = np.nonzero(~mine)[0]
+        others[name] = (cKDTree(xyz[rows]), rows)
+        nearest[mine] = others[name][0].query(xyz[mine])[0]
+    radius = _widen(nearest.min())
+    best = float("inf")
+    for i in np.nonzero(nearest <= radius)[0]:
+        tree, rows = others[splits[i]]
+        js = rows[tree.query_ball_point(xyz[i], radius)]
+        js = js[js > i]
+        if len(js):
+            best = min(best, float(haversine_km(lats[i], lons[i], lats[js], lons[js]).min()))
     return best
 
 
@@ -195,6 +254,7 @@ def audit_splits(pool, assignment: dict[str, str], buffer_km: float | None = Non
         "assigned": len(assignment),
     }
     if buffer_km is not None:
+        _check_buffer(buffer_km)
         min_km = min_cross_split_distance(pool, assignment)
         report["min_cross_split_km"] = min_km
         report["buffer_km"] = buffer_km

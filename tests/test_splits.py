@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from peftseg import splits
 from peftseg.data import SampleInfo
 from peftseg.errors import SplitError
 from peftseg.splits import (_single_linkage_clusters, audit_splits,
@@ -204,3 +205,162 @@ def test_audit_reports_unassigned_and_disjoint():
     report = audit_splits(pool, assignment)
     assert report["unassigned"] == ["s002", "s003", "s004"]
     assert report["assigned"] == 2
+
+
+# ---------------------------------------------------------------------------
+# KD-tree neighbour search against the pairwise references
+
+
+def flood_fill_clusters(pool, buffer_km):
+    """Clusters by exhaustive flood fill, members in pool order."""
+    root = {}
+    for start in pool:
+        if start.sample_id in root:
+            continue
+        root[start.sample_id] = start.sample_id
+        stack = [start]
+        while stack:
+            a = stack.pop()
+            for b in pool:
+                if b.sample_id not in root and haversine_km(a.lat, a.lon, b.lat, b.lon) < buffer_km:
+                    root[b.sample_id] = start.sample_id
+                    stack.append(b)
+    clusters = [[e.sample_id for e in pool if root[e.sample_id] == r] for r in set(root.values())]
+    return sorted(clusters, key=min)
+
+
+def pairwise_min(pool, assignment):
+    """Minimum over every cross-split pair, in row form and pool order."""
+    entries = [e for e in pool if e.sample_id in assignment]
+    lats = np.array([e.lat for e in entries])
+    lons = np.array([e.lon for e in entries])
+    best = float("inf")
+    for i, a in enumerate(entries):
+        dists = haversine_km(lats[i], lons[i], lats[i + 1:], lons[i + 1:])
+        for b, d in zip(entries[i + 1:], dists):
+            if assignment[a.sample_id] != assignment[b.sample_id]:
+                best = min(best, float(d))
+    return best
+
+
+def adversarial_pool(kind):
+    rng = np.random.default_rng(3)
+    if kind == "antimeridian":
+        # 0.002 degrees of longitude across the date line is about 0.2 km
+        lats = rng.uniform(-60, 60, 30)
+        sites = [(lat, sign * 179.999) for lat in lats for sign in (1, -1)]
+        sites += [(lat, 180.0 * sign) for lat, sign in zip(rng.uniform(-60, 60, 10), (1, -1) * 5)]
+    elif kind == "poles":
+        sites = [(sign * (90 - rng.uniform(0, 0.01)), rng.uniform(-180, 180))
+                 for sign in (1, -1) for _ in range(30)]
+        sites += [(90.0, 0.0), (-90.0, 45.0), (89.99, 180.0)]
+    else:  # duplicates: ten sites twice, one site three times
+        base = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(20)]
+        sites = base + base[:10] + [(0.5, 0.5)] * 3
+    order = rng.permutation(len(sites))
+    return [entry(f"s{i:03d}", lat=float(sites[i][0]), lon=float(sites[i][1])) for i in order]
+
+
+@pytest.mark.parametrize("kind", ["antimeridian", "poles", "duplicates"])
+def test_kd_tree_matches_pairwise_reference_on_adversarial_pools(kind):
+    pool = adversarial_pool(kind)
+    for buffer_km in (0.0, 0.5, 5.0, 50.0, 25000.0):
+        got = [[e.sample_id for e in c] for c in _single_linkage_clusters(pool, buffer_km)]
+        assert got == flood_fill_clusters(pool, buffer_km), buffer_km
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        assignment = {e.sample_id: ("train", "val", "test")[int(rng.integers(3))] for e in pool}
+        assert min_cross_split_distance(pool, assignment) == pairwise_min(pool, assignment)
+    if kind == "duplicates":
+        twins = [e for e in pool if (e.lat, e.lon) == (0.5, 0.5)]
+        assignment = {e.sample_id: "train" for e in pool}
+        assignment[twins[0].sample_id] = "test"
+        assert min_cross_split_distance(pool, assignment) == 0.0
+
+
+def test_buffer_boundary_is_decided_by_haversine():
+    # a pair 1e-9 km inside the buffer links, 1e-9 km outside it does not;
+    # both lie within the widened chord radius, so haversine makes the call
+    a, b = entry("a", lat=10.0, lon=20.0), entry("b", lat=10.03, lon=20.02)
+    far = [entry(f"far{i}", lat=-30.0 + 3 * i, lon=-40.0) for i in range(6)]
+    pool = [a, b] + far
+    d = float(haversine_km(a.lat, a.lon, b.lat, b.lon))
+    for buffer_km, linked in ((d + 1e-9, True), (d - 1e-9, False)):
+        got = [[e.sample_id for e in c] for c in _single_linkage_clusters(pool, buffer_km)]
+        assert got == flood_fill_clusters(pool, buffer_km)
+        assert (["a", "b"] in got) is linked
+        result = build_buffered_spatial_splits(pool, buffer_km=buffer_km, seed=0)
+        assert result.report["min_cross_split_km"] == pairwise_min(pool, result.assignment)
+    assert min_cross_split_distance(pool, {"a": "train", "b": "val"}) == d
+
+
+def test_single_split_and_single_site_give_inf():
+    pool = grid_pool(5)
+    assert min_cross_split_distance(pool, {e.sample_id: "train" for e in pool}) == float("inf")
+    assert audit_splits(pool, {e.sample_id: "train" for e in pool},
+                        buffer_km=5.0)["min_cross_split_km"] == float("inf")
+    one = [entry("only", lat=12.0, lon=34.0)]
+    assert [[e.sample_id for e in c] for c in _single_linkage_clusters(one, 5.0)] == [["only"]]
+    assert min_cross_split_distance(one, {"only": "val"}) == float("inf")
+    assert min_cross_split_distance(one, {}) == float("inf")
+
+
+BAD_SITES = [(float("nan"), 0.0), (0.0, float("nan")), (float("inf"), 0.0), (0.0, -float("inf")),
+             (90.5, 0.0), (-91.0, 0.0), (0.0, 180.01), (0.0, -181.0)]
+
+
+@pytest.mark.parametrize("lat,lon", BAD_SITES)
+def test_bad_coordinates_raise_split_error_naming_the_sample(lat, lon):
+    # train at (0, 0) and test 0.11 km away: a NaN site in val once hid the pair
+    pool = ([entry("a", lat=0.0, lon=0.0), entry("bad", lat=lat, lon=lon),
+             entry("c", lat=0.0, lon=0.001)]
+            + [entry(f"far{i}", lat=20.0 + 3 * i, lon=30.0) for i in range(6)])
+    assignment = {"a": "train", "bad": "val", "c": "test"}
+    with pytest.raises(SplitError, match="bad"):
+        build_buffered_spatial_splits(pool, buffer_km=5.0, seed=0)
+    with pytest.raises(SplitError, match="bad"):
+        min_cross_split_distance(pool, assignment)
+    with pytest.raises(SplitError, match="bad"):
+        audit_splits(pool, assignment, buffer_km=5.0)
+
+
+@pytest.mark.parametrize("buffer_km", [-1.0, -1e-12, float("nan"), float("inf")])
+def test_bad_buffer_raises_split_error(buffer_km):
+    pool = grid_pool(10)
+    with pytest.raises(SplitError, match="buffer_km"):
+        build_buffered_spatial_splits(pool, buffer_km=buffer_km, seed=0)
+    with pytest.raises(SplitError, match="buffer_km"):
+        audit_splits(pool, {"s000": "train", "s001": "val"}, buffer_km=buffer_km)
+
+
+def town_pool(seed, towns=(10, 5), per_town=40):
+    """The geo-eval site pool: towns of about 1 km spread on a jittered
+    0.5-degree grid, so each town is one cluster at a 5 km buffer."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 7]))
+    pool = []
+    for i in range(towns[0]):
+        for j in range(towns[1]):
+            lat0 = 40.0 + 0.5 * i + rng.uniform(-0.1, 0.1)
+            lon0 = 5.0 + 0.5 * j + rng.uniform(-0.1, 0.1)
+            offsets = np.clip(rng.normal(0.0, 0.01, size=(per_town, 2)), -0.03, 0.03)
+            for k, (dlat, dlon) in enumerate(offsets):
+                pool.append(entry(f"site_{i}_{j}_{k:02d}", lat=float(lat0 + dlat),
+                                  lon=float(lon0 + dlon)))
+    return pool
+
+
+def test_buffered_split_and_audit_measure_near_pairs_only(monkeypatch):
+    # an exhaustive sweep measures about 3 n^2 / 2 distances here (6e6)
+    pool = town_pool(1)
+    measured = []
+
+    def counting(*args):
+        out = haversine_km(*args)
+        measured.append(np.size(out))
+        return out
+
+    monkeypatch.setattr(splits, "haversine_km", counting)
+    built = build_buffered_spatial_splits(pool, buffer_km=5.0, seed=1)
+    audit = audit_splits(pool, built.assignment, buffer_km=5.0)
+    assert built.report["num_clusters"] == 50 and audit["buffer_respected"]
+    assert sum(measured) < 50 * len(pool)
