@@ -32,6 +32,12 @@ class SegmentationModel(Module):
     def forward(self, images, bands=None, meta=None, training: bool = False) -> Tensor:
         """Per-pixel class logits (B, K, H, W) for a normalized image batch."""
         taps, adapter_tokens = self.backbone.encode(images, bands, meta)
+        return self.head(taps, adapter_tokens, training)
+
+    def head(self, taps, adapter_tokens=None, training: bool = False) -> Tensor:
+        """Neck and decoder over the encoder's output. A single-scale head reads
+        only ``taps[-1]``; a pyramid head reads all four taps, or the final tap
+        and ``adapter_tokens`` when a ViT-Adapter is attached."""
         out_hw = self.backbone.cfg.image_size
         if not self.decoder_cfg.needs_pyramid:
             return decode(taps[-1], self.decoder_cfg, self.decoder, out_hw, training)

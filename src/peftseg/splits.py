@@ -245,7 +245,12 @@ def min_cross_split_distance(pool, assignment: dict[str, str]) -> float:
 
 def audit_splits(pool, assignment: dict[str, str], buffer_km: float | None = None,
                  quotas: dict | None = None) -> dict:
-    """Disjointness/coverage report, plus distance and quota checks on demand."""
+    """Disjointness/coverage report, plus distance and quota checks on demand.
+    An assigned sample that is not in the pool raises SplitError naming it."""
+    by_id = {e.sample_id: e for e in pool}
+    absent = sorted(sid for sid in assignment if sid not in by_id)
+    if absent:
+        raise SplitError(f"assignment names samples absent from the pool: {absent}")
     sizes = Counter(assignment.values())
     unassigned = sorted(e.sample_id for e in pool if e.sample_id not in assignment)
     report = {
@@ -261,7 +266,6 @@ def audit_splits(pool, assignment: dict[str, str], buffer_km: float | None = Non
         report["buffer_respected"] = bool(min_km >= buffer_km)
     if quotas is not None:
         per_class = {split: Counter() for split in set(assignment.values())}
-        by_id = {e.sample_id: e for e in pool}
         for sid, split in assignment.items():
             for c in by_id[sid].labels:
                 per_class[split][c] += 1

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import backward, functional as F, no_grad
+from .autodiff import Tensor, backward, functional as F, no_grad
 from .backbone import BackboneConfig
 from .data import DatasetManifest, IGNORE_INDEX, normalize, reflect_pad_to, subset_bands
 from .decoders import DecoderConfig
@@ -199,19 +199,55 @@ def assemble_batch(samples, idx):
     return images, masks, meta, band_orders.pop()
 
 
-def _eval_pass(model: SegmentationModel, samples, batch_size: int,
-               num_classes: int) -> tuple[float, ConfusionMatrix]:
+def _frozen_features(model: SegmentationModel, samples, batch_size: int) -> list | None:
+    """Each sample's encoder output as the head reads it, or None while any
+    backbone tensor trains.
+
+    A frozen encoder gives an image the same bits in any batch, so encoding
+    each sample once under ``no_grad`` and restacking its arrays for every
+    later batch is exact. A sample keeps the final tap for a single-scale head,
+    all four taps for a pyramid head, and the adapter tokens when an adapter
+    is attached.
+    """
+    if any(t.requires_grad for _, t in model.backbone.named_parameters()):
+        return None
+    reads = slice(None) if model.decoder_cfg.needs_pyramid else slice(-1, None)
+    features = []
+    with no_grad():
+        for idx in batches(list(range(len(samples))), batch_size):
+            images, _, meta, bands = assemble_batch(samples, idx)
+            taps, adapter_tokens = model.backbone.encode(images, bands, meta)
+            arrays = [t.data for t in taps[reads]]
+            if adapter_tokens is not None:
+                arrays.append(adapter_tokens.data)
+            features.extend(zip(*arrays))
+    return features
+
+
+def _batch_logits(model: SegmentationModel, samples, features, idx, training: bool):
+    """(logits, masks) of one batch: the head on the samples' cached encoder
+    output when ``features`` holds it, else the full forward."""
+    images, masks, meta, bands = assemble_batch(samples, idx)  # also rejects mixed band orders
+    if features is None:
+        return model.forward(images, bands=bands, meta=meta, training=training), masks
+    stacked = [Tensor(np.stack(rows)) for rows in zip(*(features[i] for i in idx))]
+    adapter_tokens = stacked.pop() if model.backbone.adapter is not None else None
+    return model.head(stacked, adapter_tokens, training), masks
+
+
+def _eval_pass(model: SegmentationModel, samples, batch_size: int, num_classes: int,
+               features=None) -> tuple[float, ConfusionMatrix]:
     cm = ConfusionMatrix(num_classes)
     loss_total = 0.0
     weight_total = 0
     with no_grad():
         for idx in batches(list(range(len(samples))), batch_size):
-            images, masks, meta, bands = assemble_batch(samples, idx)
-            logits = model.forward(images, bands=bands, meta=meta, training=False)
-            loss = F.cross_entropy(logits, masks, ignore_index=IGNORE_INDEX)
+            logits, masks = _batch_logits(model, samples, features, idx, False)
             n_valid = int((masks != IGNORE_INDEX).sum())
-            loss_total += loss.item() * n_valid
-            weight_total += n_valid
+            if n_valid:  # a batch with no labelled pixel adds no loss term
+                loss = F.cross_entropy(logits, masks, ignore_index=IGNORE_INDEX)
+                loss_total += loss.item() * n_valid
+                weight_total += n_valid
             pred = logits.data.argmax(axis=1)
             cm.update(masks, pred, ignore_index=IGNORE_INDEX)
     return loss_total / max(weight_total, 1), cm
@@ -250,6 +286,8 @@ def train(cfg: RunConfig, verbose: bool = False) -> RunResult:
 
     model = build_model(cfg.backbone, cfg.decoder, cfg.method, seed=cfg.seed,
                         lora_cfg=cfg.lora, vpt_cfg=cfg.vpt, adapter_cfg=cfg.adapter)
+    train_features = _frozen_features(model, train_samples, cfg.batch_size)
+    val_features = _frozen_features(model, val_samples, cfg.batch_size)
     optimizer = AdamW(list(model.trainable_parameters()), lr=cfg.learning_rate,
                       weight_decay=cfg.weight_decay)
     scheduler = ReduceOnPlateau(optimizer, patience=cfg.plateau_patience, factor=cfg.plateau_factor)
@@ -265,8 +303,7 @@ def train(cfg: RunConfig, verbose: bool = False) -> RunResult:
         loss_total = 0.0
         weight_total = 0
         for batch_no, idx in enumerate(batches(order, cfg.batch_size)):
-            images, masks, meta, bands = assemble_batch(train_samples, idx)
-            logits = model.forward(images, bands=bands, meta=meta, training=True)
+            logits, masks = _batch_logits(model, train_samples, train_features, idx, True)
             loss = F.cross_entropy(logits, masks, ignore_index=IGNORE_INDEX)
             loss_value = loss.item()
             if not np.isfinite(loss_value):
@@ -287,7 +324,8 @@ def train(cfg: RunConfig, verbose: bool = False) -> RunResult:
             weight_total += n_valid
         train_loss = loss_total / max(weight_total, 1)
 
-        val_loss, cm = _eval_pass(model, val_samples, cfg.batch_size, manifest.num_classes)
+        val_loss, cm = _eval_pass(model, val_samples, cfg.batch_size, manifest.num_classes,
+                                  val_features)
         val_miou = miou(cm)
         lr_now = optimizer.lr
         history.append({

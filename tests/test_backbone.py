@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from peftseg.autodiff import Tensor, backward, functional as F, grad_check, trace
+from peftseg.autodiff import Tensor, backward, functional as F, grad_check, no_grad, trace
 from peftseg.backbone import BackboneConfig, TransformerBlock, ViTBackbone, default_tap_layers
 from peftseg.decoders import DecoderConfig
 from peftseg.errors import ConfigError, InputTypeError, ShapeError
 from peftseg.model import build_model
+from peftseg.peft import LoraConfig
 
 from conftest import BANDS6, BANDS10, tiny_backbone
 
@@ -157,6 +158,36 @@ def test_metadata_out_of_range_rejected():
         backbone.meta(95.0, 0.0, 1, 2020)
     with pytest.raises(ShapeError):
         backbone.meta(0.0, 200.0, 1, 2020)
+
+
+@pytest.mark.parametrize("metadata,method", [(False, "linear_probe"), (True, "linear_probe"),
+                                             (False, "lora")])
+def test_frozen_taps_do_not_depend_on_the_batch(metadata, method):
+    """The exactness argument of training's frozen-encoder cache: every tap of
+    an image has the same bits in a batch of 8, alone and in the reversed
+    batch. Trained rank-4 LoRA maps make narrow GEMMs, whose rounding a
+    flattened (B*N, d) product would change."""
+    backbone = build_model(tiny_backbone(metadata=metadata), DecoderConfig("linear", 2), method,
+                           seed=12, lora_cfg=LoraConfig(rank=4)).backbone
+    rng = np.random.default_rng(12)
+    for name, t in backbone.named_parameters():
+        if name.endswith("lora_b"):
+            t.data[...] = rng.normal(scale=0.02, size=t.shape)
+    images = rng.normal(size=(8, 6, 64, 64)).astype(np.float32)
+    meta = {"lat": rng.uniform(-60, 60, 8), "lon": rng.uniform(-170, 170, 8),
+            "day_of_year": rng.integers(1, 366, 8), "year": rng.integers(2015, 2024, 8)}
+
+    def taps(order):
+        with no_grad():
+            out, _ = backbone.encode(images[order], meta={k: v[order] for k, v in meta.items()})
+        return [t.data for t in out]
+
+    batch = taps(np.arange(8))
+    backwards = taps(np.arange(8)[::-1])
+    for i in range(8):
+        for k, alone in enumerate(taps(np.array([i]))):
+            assert np.array_equal(alone[0], batch[k][i]), (i, k)
+            assert np.array_equal(backwards[k][7 - i], batch[k][i]), (i, k)
 
 
 def test_image_embedding_is_token_mean():

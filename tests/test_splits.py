@@ -207,6 +207,15 @@ def test_audit_reports_unassigned_and_disjoint():
     assert report["assigned"] == 2
 
 
+@pytest.mark.parametrize("quotas", [None, {"train": 5}])
+def test_audit_rejects_a_sample_absent_from_the_pool(quotas):
+    pool = grid_pool(3)
+    with pytest.raises(SplitError, match="ghost"):
+        audit_splits(pool, {"s000": "train", "ghost": "val"}, quotas=quotas)
+    with pytest.raises(SplitError, match="ghost"):
+        audit_splits(pool, {"s000": "train", "ghost": "val"}, buffer_km=5.0, quotas=quotas)
+
+
 # ---------------------------------------------------------------------------
 # KD-tree neighbour search against the pairwise references
 

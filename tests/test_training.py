@@ -5,10 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from peftseg.autodiff import Tensor
+from peftseg.autodiff import Tensor, no_grad
 from peftseg.decoders import DecoderConfig
 from peftseg.data import IGNORE_INDEX, normalize, subset_bands
-from peftseg.errors import ConfigError, DataError, TrainingDivergedError
+from peftseg.errors import ConfigError, DataError, MetricError, TrainingDivergedError
 from peftseg.model import build_model
 from peftseg.synthetic import SyntheticConfig, generate_synthetic
 from peftseg.training import (AdamW, EarlyStopping, ReduceOnPlateau, RunConfig,
@@ -194,6 +194,129 @@ def test_one_validation_pass_per_epoch(mini_manifest, monkeypatch):
     monkeypatch.setattr(training, "_eval_pass", counting)
     result = train(mini_run(mini_manifest, max_epochs=3))
     assert passes == [True] * len(result.history) + [False, False]  # then test and ghos
+
+
+# ---------------------------------------------------------------------------
+# the frozen-encoder cache
+
+
+def _encode_counts(events):
+    """Encoder calls (before the first step, after it outside evaluate(),
+    inside evaluate()) in a recorded event list."""
+    first = events.index("step")
+    depth, outside, inside = 0, 0, 0
+    for event in events[first:]:
+        depth += {"evaluate": 1, "done": -1}.get(event, 0)
+        if event == "encode":
+            inside += depth > 0
+            outside += depth == 0
+    return events[:first].count("encode"), outside, inside
+
+
+@pytest.mark.parametrize("method", ["linear_probe", "lora"])
+def test_frozen_encoder_runs_once_per_sample(mini_manifest, monkeypatch, method):
+    from peftseg import training
+    from peftseg.backbone import ViTBackbone
+    events = []
+    real_encode, real_backward, real_evaluate = ViTBackbone.encode, training.backward, evaluate
+
+    def encode(self, *args, **kwargs):
+        events.append("encode")
+        return real_encode(self, *args, **kwargs)
+
+    def step(loss):
+        events.append("step")
+        return real_backward(loss)
+
+    def evaluating(*args, **kwargs):
+        events.append("evaluate")
+        out = real_evaluate(*args, **kwargs)
+        events.append("done")
+        return out
+
+    monkeypatch.setattr(ViTBackbone, "encode", encode)
+    monkeypatch.setattr(training, "backward", step)
+    monkeypatch.setattr(training, "evaluate", evaluating)
+    result = train(mini_run(mini_manifest, method=method, max_epochs=3))
+    n = {split: -(-len(mini_manifest.split_ids(split)) // 4)
+         for split in ("train", "val", "test", "ghos")}
+    per_epoch = n["train"] + n["val"]
+    held_out = n["test"] + n["ghos"]
+    if method == "linear_probe":
+        assert _encode_counts(events) == (per_epoch, 0, held_out)
+    else:
+        assert _encode_counts(events) == (1, len(result.history) * per_epoch - 1, held_out)
+
+
+@pytest.mark.parametrize("kind,method", [("linear", "linear_probe"), ("unet", "linear_probe"),
+                                         ("unet", "vit_adapter")])
+def test_head_on_cached_taps_equals_forward(mini_manifest, kind, method):
+    from peftseg.peft import VitAdapterConfig
+    from peftseg.training import _batch_logits, _frozen_features, load_split
+    model = build_model(tiny_backbone(image=(32, 32)), DecoderConfig(kind, 2), method,
+                        adapter_cfg=VitAdapterConfig(channels=(16, 16, 16)))
+    for _, t in model.backbone.named_parameters():  # a frozen adapter also feeds the cache
+        t.requires_grad = False
+    samples = load_split(mini_manifest, "train", None, (32, 32))
+    features = _frozen_features(model, samples, 5)
+    idx = [7, 0, 11, 3]
+    logits, masks = _batch_logits(model, samples, features, idx, False)
+    images, _, meta, bands = assemble_batch(samples, idx)
+    with no_grad():
+        expected = model.forward(images, bands=bands, meta=meta, training=False)
+    assert np.array_equal(logits.data, expected.data)
+
+
+@pytest.mark.parametrize("kind", ["linear", "upernet"])
+def test_linear_probe_cache_keeps_training_bits(mini_manifest, monkeypatch, kind):
+    from peftseg import training
+    cfg = mini_run(mini_manifest, method="linear_probe", decoder=DecoderConfig(kind, 2),
+                   learning_rate=2e-2, max_epochs=3)
+    cached = train(cfg)
+    monkeypatch.setattr(training, "_frozen_features", lambda *args: None)
+    uncached = train(cfg)
+    strip = [{k: v for k, v in row.items() if k != "seconds"} for row in cached.history]
+    assert strip == [{k: v for k, v in row.items() if k != "seconds"} for row in uncached.history]
+    assert cached.final_metrics == uncached.final_metrics
+    theirs = uncached.model.state_dict()
+    assert all(np.array_equal(a, theirs[name]) for name, a in cached.model.state_dict().items())
+
+
+# ---------------------------------------------------------------------------
+# ignore-labelled masks
+
+
+def _blank_masks(manifest, root, blank_ids):
+    """A copy of ``manifest`` under ``root`` whose ``blank_ids`` masks are all ignore."""
+    import copy
+    out = copy.copy(manifest)
+    out.root = root
+    for info in manifest.samples:
+        sample = manifest.load_sample(info.sample_id)
+        if info.sample_id in blank_ids:
+            sample = replace(sample, mask=np.full_like(sample.mask, IGNORE_INDEX))
+        out.save_sample(sample)
+    return out
+
+
+def test_all_ignored_batch_leaves_out_its_loss_term(mini_manifest, tmp_path):
+    from peftseg.training import _eval_pass, _metrics, load_split
+    val_ids = mini_manifest.split_ids("val")
+    manifest = _blank_masks(mini_manifest, tmp_path, val_ids[:2])
+    model = build_model(tiny_backbone(image=(32, 32)), DecoderConfig("linear", 2), "linear_probe")
+    rest = load_split(mini_manifest, "val", None, (32, 32))[2:]
+    assert evaluate(model, manifest, "val", batch_size=2) == _metrics(*_eval_pass(model, rest, 2, 2))
+    result = train(mini_run(manifest, method="linear_probe", batch_size=2, max_epochs=1))
+    assert np.isfinite(result.history[0]["val_loss"])
+
+
+def test_split_without_a_labelled_pixel_raises_metric_error(mini_manifest, tmp_path):
+    manifest = _blank_masks(mini_manifest, tmp_path, set(mini_manifest.split_ids("val")))
+    model = build_model(tiny_backbone(image=(32, 32)), DecoderConfig("linear", 2), "linear_probe")
+    with pytest.raises(MetricError):
+        evaluate(model, manifest, "val", batch_size=2)
+    with pytest.raises(MetricError):
+        train(mini_run(manifest, max_epochs=1))
 
 
 @pytest.fixture(scope="module")
