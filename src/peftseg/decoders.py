@@ -127,8 +127,6 @@ def _channel_layer_norm(x: Tensor, ln: LayerNorm) -> Tensor:
 class LinearDecoder(Module):
     """One transposed convolution with kernel = stride = patch size; nothing else."""
 
-    kind = "linear"
-
     def __init__(self, rng: np.random.Generator, cfg: DecoderConfig, embed_dim: int, patch_size: int):
         self.head = ConvTranspose2d(rng, embed_dim, cfg.num_classes, patch_size, stride=patch_size)
         self.patch_size = patch_size
@@ -143,8 +141,6 @@ class LinearDecoder(Module):
 class FcnDecoder(Module):
     """Stacked upsampling blocks: transposed conv (2x), 3x3 conv, channel
     layer norm, GeLU; one block per doubling until full resolution."""
-
-    kind = "fcn"
 
     def __init__(self, rng: np.random.Generator, cfg: DecoderConfig, embed_dim: int, patch_size: int):
         n_blocks = int(math.log2(patch_size))
@@ -177,8 +173,6 @@ class FcnDecoder(Module):
 
 class UperNetDecoder(Module):
     """FPN over the pyramid plus a pooling module on the coarsest level."""
-
-    kind = "upernet"
 
     def __init__(self, rng: np.random.Generator, cfg: DecoderConfig, pyramid_channels: tuple[int, ...]):
         ch = cfg.upernet_channels
@@ -228,8 +222,6 @@ class _ConvBnRelu(Module):
 class UNetDecoder(Module):
     """Top-down decoding with skip concatenation: interpolate 2x, concatenate
     the next finer pyramid level, then two conv/batch-norm/ReLU stages."""
-
-    kind = "unet"
 
     def __init__(self, rng: np.random.Generator, cfg: DecoderConfig, pyramid_channels: tuple[int, ...]):
         w0, w1, w2, w3 = cfg.unet_widths

@@ -166,7 +166,6 @@ class VitAdapterAttachment(Module):
             raise ConfigError(f"injection layers {bad} outside [1, {backbone_cfg.depth}]")
         self.inject = {layer: CrossAttention(rng, d) for layer in self.injection_layers}
         self.extract = CrossAttention(rng, d)
-        self.embed_dim = d
         h, w = backbone_cfg.image_size
         if h % 32 or w % 32:
             raise ConfigError(f"adapter stem needs an image size divisible by 32, got ({h},{w})")
@@ -357,8 +356,7 @@ def count_parameters(model) -> ParameterReport:
     """Exact element counts per component, plus trainable fractions."""
     groups = {"encoder": 0, "neck": 0, "decoder": 0}
     per_attachment: dict[str, int] = {}
-    total = trainable = 0
-    encoder_total = encoder_trainable = 0
+    total = trainable = encoder_trainable = 0
     for name, tensor in model.named_parameters():
         n = tensor.size
         total += n
@@ -370,10 +368,8 @@ def count_parameters(model) -> ParameterReport:
             per_attachment[kind] = per_attachment.get(kind, 0) + n
         elif head in groups:
             groups[head] += n
-        if head == "encoder":
-            encoder_total += n
-            if tensor.requires_grad:
-                encoder_trainable += n
+        if head == "encoder" and tensor.requires_grad:
+            encoder_trainable += n
     return ParameterReport(
         total=total,
         trainable=trainable,
@@ -382,5 +378,5 @@ def count_parameters(model) -> ParameterReport:
         decoder=groups["decoder"],
         per_attachment=per_attachment,
         trainable_fraction=trainable / total if total else 0.0,
-        encoder_trainable_fraction=encoder_trainable / encoder_total if encoder_total else 0.0,
+        encoder_trainable_fraction=encoder_trainable / groups["encoder"] if groups["encoder"] else 0.0,
     )

@@ -200,19 +200,18 @@ def assemble_batch(samples, idx):
 
 
 def _frozen_features(model: SegmentationModel, samples, batch_size: int) -> list | None:
-    """Each sample's encoder output as the head reads it, or None while any
-    backbone tensor trains.
+    """The encoder output the head reads, one array per head input with a row
+    per sample, or None while any backbone tensor trains.
 
     A frozen encoder gives an image the same bits in any batch, so encoding
-    each sample once under ``no_grad`` and restacking its arrays for every
-    later batch is exact. A sample keeps the final tap for a single-scale head,
-    all four taps for a pyramid head, and the adapter tokens when an adapter
-    is attached.
+    each sample once under ``no_grad`` and taking a batch's rows later is
+    exact. The arrays are the final tap for a single-scale head, all four taps
+    for a pyramid head, and the adapter tokens when an adapter is attached.
     """
     if any(t.requires_grad for _, t in model.backbone.named_parameters()):
         return None
     reads = slice(None) if model.decoder_cfg.needs_pyramid else slice(-1, None)
-    features = []
+    chunks = []
     with no_grad():
         for idx in batches(list(range(len(samples))), batch_size):
             images, _, meta, bands = assemble_batch(samples, idx)
@@ -220,19 +219,24 @@ def _frozen_features(model: SegmentationModel, samples, batch_size: int) -> list
             arrays = [t.data for t in taps[reads]]
             if adapter_tokens is not None:
                 arrays.append(adapter_tokens.data)
-            features.extend(zip(*arrays))
-    return features
+            chunks.append(arrays)
+    return [np.concatenate(parts) for parts in zip(*chunks)]
 
 
-def _batch_logits(model: SegmentationModel, samples, features, idx, training: bool):
-    """(logits, masks) of one batch: the head on the samples' cached encoder
-    output when ``features`` holds it, else the full forward."""
+def _batch_loss(model: SegmentationModel, samples, features, idx, training: bool):
+    """(logits, masks, loss, n_valid) of one batch: the head on the cached encoder
+    output when ``features`` holds it, else the full forward; ``loss`` is the mean
+    over the ``n_valid`` labelled pixels, or None when there are none."""
     images, masks, meta, bands = assemble_batch(samples, idx)  # also rejects mixed band orders
     if features is None:
-        return model.forward(images, bands=bands, meta=meta, training=training), masks
-    stacked = [Tensor(np.stack(rows)) for rows in zip(*(features[i] for i in idx))]
-    adapter_tokens = stacked.pop() if model.backbone.adapter is not None else None
-    return model.head(stacked, adapter_tokens, training), masks
+        logits = model.forward(images, bands=bands, meta=meta, training=training)
+    else:
+        inputs = [Tensor(a[idx]) for a in features]
+        adapter_tokens = inputs.pop() if model.backbone.adapter is not None else None
+        logits = model.head(inputs, adapter_tokens, training)
+    n_valid = int((masks != IGNORE_INDEX).sum())
+    loss = F.cross_entropy(logits, masks, ignore_index=IGNORE_INDEX) if n_valid else None
+    return logits, masks, loss, n_valid
 
 
 def _eval_pass(model: SegmentationModel, samples, batch_size: int, num_classes: int,
@@ -242,10 +246,8 @@ def _eval_pass(model: SegmentationModel, samples, batch_size: int, num_classes: 
     weight_total = 0
     with no_grad():
         for idx in batches(list(range(len(samples))), batch_size):
-            logits, masks = _batch_logits(model, samples, features, idx, False)
-            n_valid = int((masks != IGNORE_INDEX).sum())
-            if n_valid:  # a batch with no labelled pixel adds no loss term
-                loss = F.cross_entropy(logits, masks, ignore_index=IGNORE_INDEX)
+            logits, masks, loss, n_valid = _batch_loss(model, samples, features, idx, False)
+            if loss is not None:
                 loss_total += loss.item() * n_valid
                 weight_total += n_valid
             pred = logits.data.argmax(axis=1)
@@ -282,6 +284,8 @@ def train(cfg: RunConfig, verbose: bool = False) -> RunResult:
         raise ConfigError(f"decoder expects {cfg.decoder.num_classes} classes, "
                           f"dataset has {manifest.num_classes}")
     train_samples = load_split(manifest, "train", cfg.bands, cfg.backbone.image_size)
+    if all((s.mask == IGNORE_INDEX).all() for s in train_samples):
+        raise DataError("split 'train' has no labelled pixel")
     val_samples = load_split(manifest, "val", cfg.bands, cfg.backbone.image_size)
 
     model = build_model(cfg.backbone, cfg.decoder, cfg.method, seed=cfg.seed,
@@ -303,8 +307,9 @@ def train(cfg: RunConfig, verbose: bool = False) -> RunResult:
         loss_total = 0.0
         weight_total = 0
         for batch_no, idx in enumerate(batches(order, cfg.batch_size)):
-            logits, masks = _batch_logits(model, train_samples, train_features, idx, True)
-            loss = F.cross_entropy(logits, masks, ignore_index=IGNORE_INDEX)
+            _, _, loss, n_valid = _batch_loss(model, train_samples, train_features, idx, True)
+            if loss is None:  # a batch with no labelled pixel takes no step
+                continue
             loss_value = loss.item()
             if not np.isfinite(loss_value):
                 raise TrainingDivergedError(
@@ -319,7 +324,6 @@ def train(cfg: RunConfig, verbose: bool = False) -> RunResult:
                     f"non-finite gradient for {bad} at epoch {epoch}, batch {batch_no}",
                     epoch=epoch, batch=batch_no)
             optimizer.step()
-            n_valid = int((masks != IGNORE_INDEX).sum())
             loss_total += loss_value * n_valid
             weight_total += n_valid
         train_loss = loss_total / max(weight_total, 1)

@@ -248,23 +248,49 @@ def test_frozen_encoder_runs_once_per_sample(mini_manifest, monkeypatch, method)
         assert _encode_counts(events) == (1, len(result.history) * per_epoch - 1, held_out)
 
 
-@pytest.mark.parametrize("kind,method", [("linear", "linear_probe"), ("unet", "linear_probe"),
-                                         ("unet", "vit_adapter")])
-def test_head_on_cached_taps_equals_forward(mini_manifest, kind, method):
+def _frozen_model(kind, method):
     from peftseg.peft import VitAdapterConfig
-    from peftseg.training import _batch_logits, _frozen_features, load_split
     model = build_model(tiny_backbone(image=(32, 32)), DecoderConfig(kind, 2), method,
                         adapter_cfg=VitAdapterConfig(channels=(16, 16, 16)))
     for _, t in model.backbone.named_parameters():  # a frozen adapter also feeds the cache
         t.requires_grad = False
+    return model
+
+
+@pytest.mark.parametrize("kind,method", [("linear", "linear_probe"), ("unet", "linear_probe"),
+                                         ("unet", "vit_adapter")])
+def test_head_on_cached_taps_equals_forward(mini_manifest, kind, method):
+    from peftseg.training import _batch_loss, _frozen_features, load_split
+    model = _frozen_model(kind, method)
     samples = load_split(mini_manifest, "train", None, (32, 32))
     features = _frozen_features(model, samples, 5)
     idx = [7, 0, 11, 3]
-    logits, masks = _batch_logits(model, samples, features, idx, False)
+    logits, masks, _, _ = _batch_loss(model, samples, features, idx, False)
     images, _, meta, bands = assemble_batch(samples, idx)
     with no_grad():
         expected = model.forward(images, bands=bands, meta=meta, training=False)
     assert np.array_equal(logits.data, expected.data)
+
+
+@pytest.mark.parametrize("kind,method,n_arrays", [("linear", "linear_probe", 1),
+                                                  ("unet", "linear_probe", 4),
+                                                  ("unet", "vit_adapter", 5)])
+def test_cache_holds_one_array_per_head_input(mini_manifest, kind, method, n_arrays):
+    """Row i of each cached array is bit-equal to encoding sample i alone."""
+    from peftseg.training import _frozen_features, load_split
+    model = _frozen_model(kind, method)
+    samples = load_split(mini_manifest, "train", None, (32, 32))
+    features = _frozen_features(model, samples, 4)
+    assert len(features) == n_arrays
+    assert all(len(a) == len(samples) for a in features)
+    with no_grad():
+        for i in range(len(samples)):
+            images, _, meta, bands = assemble_batch(samples, [i])
+            taps, adapter_tokens = model.backbone.encode(images, bands, meta)
+            alone = [t.data for t in (taps[-1:] if kind == "linear" else taps)]
+            if adapter_tokens is not None:
+                alone.append(adapter_tokens.data)
+            assert all(np.array_equal(a[i], b[0]) for a, b in zip(features, alone))
 
 
 @pytest.mark.parametrize("kind", ["linear", "upernet"])
@@ -317,6 +343,28 @@ def test_split_without_a_labelled_pixel_raises_metric_error(mini_manifest, tmp_p
         evaluate(model, manifest, "val", batch_size=2)
     with pytest.raises(MetricError):
         train(mini_run(manifest, max_epochs=1))
+
+
+def test_all_ignored_training_batch_takes_no_step(mini_manifest, tmp_path, monkeypatch):
+    from peftseg import training
+    train_ids = mini_manifest.split_ids("train")
+    manifest = _blank_masks(mini_manifest, tmp_path, train_ids[:4])
+    steps, real_backward = [], training.backward
+
+    def counting(loss):
+        steps.append(1)
+        return real_backward(loss)
+
+    monkeypatch.setattr(training, "backward", counting)
+    result = train(mini_run(manifest, method="linear_probe", batch_size=1, max_epochs=2))
+    assert all(np.isfinite(v) for row in result.history for v in row.values())
+    assert len(steps) == len(result.history) * (len(train_ids) - 4)
+
+
+def test_train_split_without_a_labelled_pixel_raises_data_error(mini_manifest, tmp_path):
+    manifest = _blank_masks(mini_manifest, tmp_path, set(mini_manifest.split_ids("train")))
+    with pytest.raises(DataError, match="'train'"):
+        train(mini_run(manifest, method="linear_probe", max_epochs=1))
 
 
 @pytest.fixture(scope="module")
