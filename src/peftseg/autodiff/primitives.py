@@ -137,12 +137,15 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # elementwise / shape
 
 
-def _add_fwd(datas, attrs):
-    a, b = datas
-    try:
-        return a + b, None
-    except ValueError:
-        raise _shape_err("add", "operands are not broadcastable", a.shape, b.shape)
+def _broadcasting(op_id: str, ufunc):
+    """The forward of a binary elementwise op under numpy broadcasting."""
+    def forward(datas, attrs):
+        a, b = datas
+        try:
+            return ufunc(a, b), None
+        except ValueError:
+            raise _shape_err(op_id, "operands are not broadcastable", a.shape, b.shape)
+    return forward
 
 
 def _add_bwd(datas, attrs, ctx, g, needs):
@@ -151,26 +154,10 @@ def _add_bwd(datas, attrs, ctx, g, needs):
             _unbroadcast(g, b.shape) if needs[1] else None)
 
 
-def _sub_fwd(datas, attrs):
-    a, b = datas
-    try:
-        return a - b, None
-    except ValueError:
-        raise _shape_err("sub", "operands are not broadcastable", a.shape, b.shape)
-
-
 def _sub_bwd(datas, attrs, ctx, g, needs):
     a, b = datas
     return (_unbroadcast(g, a.shape) if needs[0] else None,
             _unbroadcast(-g, b.shape) if needs[1] else None)
-
-
-def _mul_fwd(datas, attrs):
-    a, b = datas
-    try:
-        return a * b, None
-    except ValueError:
-        raise _shape_err("mul", "operands are not broadcastable", a.shape, b.shape)
 
 
 def _mul_bwd(datas, attrs, ctx, g, needs):
@@ -828,9 +815,9 @@ def _dropout_bwd(datas, attrs, ctx, g, needs):
     return (g * mask / keep,)
 
 
-_register("add", _add_fwd, _add_bwd, _reads_none, linear=True)
-_register("sub", _sub_fwd, _sub_bwd, _reads_none, linear=True)
-_register("mul", _mul_fwd, _mul_bwd, _reads_other, linear=True)
+_register("add", _broadcasting("add", np.add), _add_bwd, _reads_none, linear=True)
+_register("sub", _broadcasting("sub", np.subtract), _sub_bwd, _reads_none, linear=True)
+_register("mul", _broadcasting("mul", np.multiply), _mul_bwd, _reads_other, linear=True)
 _register("neg", _neg_fwd, _neg_bwd, _reads_none, linear=True)
 _register("scale", _scale_fwd, _scale_bwd, _reads_none, linear=True)
 _register("reshape", _reshape_fwd, _reshape_bwd, _reads_none, linear=True)

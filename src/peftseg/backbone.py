@@ -5,8 +5,8 @@ of the configured bands embeds without weight surgery: a missing band simply
 contributes nothing, which after per-band normalization equals feeding the
 band's mean value. Features are tapped at four layers (defaulting to the
 quarter points of the depth) for hierarchical decoders. Dense tasks only, so
-there is no class token; optional prompt blocks and adapter injection hooks
-are threaded through the forward when a PEFT attachment installed them.
+there is no class token; the forward reads the prompt blocks and adapter
+injection hooks of a PEFT attachment when one is installed.
 """
 
 from __future__ import annotations
@@ -127,10 +127,12 @@ class MetadataEmbedding(Module):
         lon = np.atleast_1d(np.asarray(lon, dtype=np.float64))
         doy = np.atleast_1d(np.asarray(day_of_year, dtype=np.float64))
         year = np.atleast_1d(np.asarray(year, dtype=np.float64))
-        if lat.min() < -90 or lat.max() > 90:
-            raise ShapeError(f"latitude outside [-90, 90]: {lat}")
-        if lon.min() < -180 or lon.max() > 180:
-            raise ShapeError(f"longitude outside [-180, 180]: {lon}")
+        if not (np.abs(lat) <= 90).all():  # NaN fails the test
+            raise ShapeError(f"latitude must be finite and within [-90, 90]: {lat}")
+        if not (np.abs(lon) <= 180).all():
+            raise ShapeError(f"longitude must be finite and within [-180, 180]: {lon}")
+        if not (np.isfinite(doy).all() and np.isfinite(year).all()):
+            raise ShapeError(f"day_of_year {doy} and year {year} must be finite")
         lat_r = np.deg2rad(lat)
         lon_r = np.deg2rad(lon)
         ang = 2.0 * np.pi * doy / 365.25
@@ -236,14 +238,14 @@ class ViTBackbone(Module):
 
     # -- encoder ------------------------------------------------------------
 
-    def forward_features(self, tokens: Tensor, prompts=None, adapter_tokens=None) -> list[Tensor]:
+    def forward_features(self, tokens: Tensor, adapter_tokens=None) -> list[Tensor]:
         """Run the transformer and return the four tapped feature maps.
 
-        Each tap is reshaped to (.., H/p, W/p, d). Deep-VPT prompt rows,
-        when present, only supply keys and values: each block attends from
-        the patch rows over ``[prompts; patches]`` and returns the patch rows
-        alone, so no query, output projection or MLP runs on a prompt row and
-        no tapped map holds one.
+        Each tap is reshaped to (.., H/p, W/p, d). The rows of the attached
+        VPT's prompt block, one (P, d) block per layer, only supply keys and
+        values: each block attends from the patch rows over
+        ``[prompts; patches]`` and returns the patch rows alone, so no query,
+        output projection or MLP runs on a prompt row and no tapped map holds one.
         """
         cfg = self.cfg
         squeeze = tokens.ndim == 2
@@ -252,40 +254,28 @@ class ViTBackbone(Module):
         if n != cfg.num_patches or d != cfg.embed_dim:
             raise ShapeError(f"tokens {x.shape} do not match grid {cfg.grid} x dim {cfg.embed_dim}")
         gh, gw = cfg.grid
+        if self.vpt is not None and self.adapter is not None:
+            raise ShapeError("prompt blocks and adapter injection cannot be combined")
 
-        if prompts is None and self.vpt is not None:
-            prompts = self.vpt.prompts
-        if prompts is not None:
-            if len(prompts) != cfg.depth:
-                raise ShapeError(f"need one prompt block per layer ({cfg.depth}), got {len(prompts)}")
-            if self.adapter is not None:
-                raise ShapeError("prompt blocks and adapter injection cannot be combined")
-            for layer, p in enumerate(prompts, start=1):
-                if not (isinstance(p, Tensor) and p.ndim == 2 and p.shape[1] == d):
-                    got = p.shape if isinstance(p, Tensor) else type(p).__name__
-                    raise ShapeError(f"prompt block of layer {layer} must be a 2-D Tensor "
-                                     f"of width {d}, got {got}")
-
-        taps = {}
+        taps = []
         for layer, block in enumerate(self.blocks, start=1):
             if self.adapter is not None and adapter_tokens is not None \
                     and layer in self.adapter.injection_layers:
                 x = F.add(x, self.adapter.inject[layer](x, adapter_tokens))
-            if prompts is not None:
-                n_p = prompts[layer - 1].shape[0]
-                block_prompts = F.reshape(prompts[layer - 1], (1, n_p, d))
+            if self.vpt is not None:
+                n_p = self.vpt.prompts[layer - 1].shape[0]
+                block_prompts = F.reshape(self.vpt.prompts[layer - 1], (1, n_p, d))
                 if b > 1:
                     block_prompts = F.concat([block_prompts] * b, axis=0)
                 x = block(F.concat([block_prompts, x], axis=1), kv_rows=n_p)
             else:
                 x = block(x)
             if layer in cfg.tap_layers:
-                taps[layer] = F.reshape(x, (b, gh, gw, d))
+                taps.append(F.reshape(x, (b, gh, gw, d)))
 
-        out = [taps[layer] for layer in cfg.tap_layers]
         if squeeze:
-            out = [F.reshape(t, t.shape[1:]) for t in out]
-        return out
+            taps = [F.reshape(t, t.shape[1:]) for t in taps]
+        return taps
 
     def encode(self, images, bands: Sequence[str] | None = None,
                meta: dict | None = None) -> tuple[list[Tensor], Tensor | None]:

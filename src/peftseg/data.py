@@ -73,8 +73,7 @@ class DatasetManifest:
         if len(self.class_names) != self.num_classes:
             raise DataError(f"{self.num_classes} classes but {len(self.class_names)} names")
         for band, (mean, std) in self.band_stats.items():
-            if std <= 0:
-                raise DataError(f"band {band!r} has non-positive std {std}")
+            _check_band_stat(band, mean, std)
         for sid, split in self.splits.items():
             if split not in SPLITS:
                 raise DataError(f"sample {sid!r} assigned to unknown split {split!r}")
@@ -188,6 +187,14 @@ class DatasetManifest:
 # transforms
 
 
+def _check_band_stat(band: str, mean, std) -> None:
+    """Reject a band statistic that cannot normalise: the mean must be finite
+    and the std finite and positive."""
+    if not (math.isfinite(mean) and math.isfinite(std) and std > 0):
+        raise DataError(f"band {band!r} needs a finite mean and a finite positive std, "
+                        f"got mean {mean} and std {std}")
+
+
 def normalize(sample: Sample, stats: dict[str, tuple[float, float]]) -> Sample:
     """Per-band (x - mean) / std under the manifest statistics."""
     missing = [b for b in sample.bands if b not in stats]
@@ -196,8 +203,7 @@ def normalize(sample: Sample, stats: dict[str, tuple[float, float]]) -> Sample:
     image = sample.image.copy()
     for c, band in enumerate(sample.bands):
         mean, std = stats[band]
-        if std <= 0:
-            raise DataError(f"band {band!r} has non-positive std {std}")
+        _check_band_stat(band, mean, std)
         image[c] = (image[c] - mean) / std
     return replace(sample, image=image)
 
@@ -264,7 +270,6 @@ def compute_band_stats(samples, bands) -> dict[str, tuple[float, float]]:
         mean = total[band] / count[band]
         var = max(total_sq[band] / count[band] - mean * mean, 0.0)
         std = float(np.sqrt(var))
-        if std <= 0:
-            raise DataError(f"band {band!r} is constant; std would be 0")
+        _check_band_stat(band, mean, std)
         stats[band] = (float(mean), std)
     return stats

@@ -129,7 +129,6 @@ class LinearDecoder(Module):
 
     def __init__(self, rng: np.random.Generator, cfg: DecoderConfig, embed_dim: int, patch_size: int):
         self.head = ConvTranspose2d(rng, embed_dim, cfg.num_classes, patch_size, stride=patch_size)
-        self.patch_size = patch_size
 
     def __call__(self, final_tap: Tensor, out_hw: tuple[int, int], training: bool = False) -> Tensor:
         logits = self.head(_to_channel_first(final_tap))

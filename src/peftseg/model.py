@@ -31,22 +31,31 @@ class SegmentationModel(Module):
 
     def forward(self, images, bands=None, meta=None, training: bool = False) -> Tensor:
         """Per-pixel class logits (B, K, H, W) for a normalized image batch."""
-        taps, adapter_tokens = self.backbone.encode(images, bands, meta)
-        return self.head(taps, adapter_tokens, training)
+        return self.head(self.encode(images, bands, meta), training)
 
-    def head(self, taps, adapter_tokens=None, training: bool = False) -> Tensor:
-        """Neck and decoder over the encoder's output. A single-scale head reads
-        only ``taps[-1]``; a pyramid head reads all four taps, or the final tap
-        and ``adapter_tokens`` when a ViT-Adapter is attached."""
+    def encode(self, images, bands=None, meta=None) -> list[Tensor]:
+        """The encoder outputs the head reads: the final tap for a single-scale
+        head, the four taps for a pyramid head, and the final tap plus the
+        adapter tokens for a pyramid head over a ViT-Adapter."""
+        taps, adapter_tokens = self.backbone.encode(images, bands, meta)
+        if not self.decoder_cfg.needs_pyramid:
+            return taps[-1:]
+        if self.backbone.adapter is not None:
+            return [taps[-1], adapter_tokens]
+        return taps
+
+    def head(self, inputs: list[Tensor], training: bool = False) -> Tensor:
+        """Neck and decoder over what ``encode`` returns."""
         out_hw = self.backbone.cfg.image_size
         if not self.decoder_cfg.needs_pyramid:
-            return decode(taps[-1], self.decoder_cfg, self.decoder, out_hw, training)
+            return decode(inputs[0], self.decoder_cfg, self.decoder, out_hw, training)
         if self.backbone.adapter is not None:
-            b, gh, gw, d = taps[-1].shape
-            final_tokens = F.reshape(taps[-1], (b, gh * gw, d))
+            final, adapter_tokens = inputs
+            b, gh, gw, d = final.shape
+            final_tokens = F.reshape(final, (b, gh * gw, d))
             pyramid = self.neck(self.backbone.adapter.pyramid(adapter_tokens, final_tokens))
         else:
-            pyramid = self.neck(taps)
+            pyramid = self.neck(inputs)
         return decode(pyramid, self.decoder_cfg, self.decoder, out_hw, training)
 
     # -- parameters ------------------------------------------------------------

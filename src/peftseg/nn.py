@@ -16,6 +16,8 @@ import numpy as np
 
 from .autodiff import Tensor, functional as F
 
+BN_MOMENTUM = 0.1  # weight of the batch statistics in a running-stat update
+
 
 class Module:
     """Names its tensors by walking its attributes in insertion order.
@@ -63,8 +65,8 @@ def ones_param(shape) -> Tensor:
 class Linear(Module):
     """y = x @ W^T + b with weight shape (d_out, d_in)."""
 
-    def __init__(self, rng: np.random.Generator, d_in: int, d_out: int, std: float = 0.02):
-        self.weight = param(rng, (d_out, d_in), std)
+    def __init__(self, rng: np.random.Generator, d_in: int, d_out: int):
+        self.weight = param(rng, (d_out, d_in))
         self.bias = zeros_param((d_out,))
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -102,33 +104,30 @@ class ConvTranspose2d(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, eps: float = 1e-5):
+    def __init__(self, dim: int):
         self.gamma = ones_param((dim,))
         self.beta = zeros_param((dim,))
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return F.layer_norm(x, self.gamma, self.beta, eps=self.eps)
+        return F.layer_norm(x, self.gamma, self.beta)
 
 
 class BatchNorm2d(Module):
     """Batch norm over (B, H, W) per channel with running-stat buffers."""
 
-    def __init__(self, channels: int, eps: float = 1e-5, momentum: float = 0.1):
+    def __init__(self, channels: int):
         self.gamma = ones_param((channels,))
         self.beta = zeros_param((channels,))
         self.running_mean = np.zeros(channels, dtype=np.float32)
         self.running_var = np.ones(channels, dtype=np.float32)
-        self.eps = eps
-        self.momentum = momentum
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         if training:
             batch_mean = x.data.mean(axis=(0, 2, 3))
             batch_var = x.data.var(axis=(0, 2, 3))
-            m = self.momentum
+            m = BN_MOMENTUM
             self.running_mean = ((1 - m) * self.running_mean + m * batch_mean).astype(np.float32)
             self.running_var = ((1 - m) * self.running_var + m * batch_var).astype(np.float32)
         return F.batch_norm2d(x, self.gamma, self.beta,
                               Tensor(self.running_mean), Tensor(self.running_var),
-                              training=training, eps=self.eps)
+                              training=training)

@@ -100,7 +100,6 @@ class LoraLinear(Module):
 
 @dataclass
 class LoraAttachment(Module):
-    cfg: LoraConfig
     layers: list[tuple[str, LoraLinear]] = field(default_factory=list)
 
     def _tree(self) -> dict:
@@ -112,7 +111,6 @@ class VptAttachment(Module):
     """Fresh prompt block per transformer layer (deep prompting)."""
 
     def __init__(self, rng: np.random.Generator, cfg: VptConfig, depth: int, embed_dim: int):
-        self.cfg = cfg
         self.prompts = [
             Tensor(rng.uniform(-0.1, 0.1, size=(cfg.prompts_per_layer, embed_dim)).astype(np.float32),
                    requires_grad=True)
@@ -146,7 +144,6 @@ class VitAdapterAttachment(Module):
     """
 
     def __init__(self, rng: np.random.Generator, cfg: VitAdapterConfig, backbone_cfg):
-        self.cfg = cfg
         d = backbone_cfg.embed_dim
         c_in = len(backbone_cfg.band_ids)
         c8, c16, c32 = cfg.channels
@@ -213,7 +210,7 @@ def attach_lora(backbone: ViTBackbone, cfg: LoraConfig, seed: int = 0) -> ViTBac
     if backbone.lora is not None:
         raise ConfigError("backbone already has low-rank adapters attached")
     rng = np.random.default_rng(seed)
-    attachment = LoraAttachment(cfg=cfg)
+    attachment = LoraAttachment()
     for i, block in enumerate(backbone.blocks):
         for target in cfg.targets:
             group, attr = _TARGET_ATTR[target]

@@ -61,16 +61,15 @@ class RunConfig:
             object.__setattr__(self, "bands", tuple(self.bands))
 
 
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class AdamW:
     """Decoupled weight decay; touches only the tensors it was given."""
 
-    def __init__(self, named_params, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8, weight_decay: float = 0.05):
+    def __init__(self, named_params, lr: float, weight_decay: float = 0.05):
         self.params = list(named_params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
         self._m = {name: np.zeros_like(t.data) for name, t in self.params}
@@ -82,7 +81,7 @@ class AdamW:
 
     def step(self) -> None:
         self.step_count += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         bias1 = 1.0 - b1 ** self.step_count
         bias2 = 1.0 - b2 ** self.step_count
         for name, t in self.params:
@@ -95,7 +94,7 @@ class AdamW:
             m += (1 - b1) * g
             v *= b2
             v += (1 - b2) * (g * g)
-            update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            update = (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
             if self.weight_decay:
                 update = update + self.weight_decay * t.data
             t.data -= (self.lr * update).astype(t.data.dtype)
@@ -200,26 +199,19 @@ def assemble_batch(samples, idx):
 
 
 def _frozen_features(model: SegmentationModel, samples, batch_size: int) -> list | None:
-    """The encoder output the head reads, one array per head input with a row
-    per sample, or None while any backbone tensor trains.
+    """What ``model.encode`` returns, one array per head input with a row per
+    sample, or None while any backbone tensor trains.
 
     A frozen encoder gives an image the same bits in any batch, so encoding
-    each sample once under ``no_grad`` and taking a batch's rows later is
-    exact. The arrays are the final tap for a single-scale head, all four taps
-    for a pyramid head, and the adapter tokens when an adapter is attached.
+    each sample once under ``no_grad`` and taking a batch's rows later is exact.
     """
     if any(t.requires_grad for _, t in model.backbone.named_parameters()):
         return None
-    reads = slice(None) if model.decoder_cfg.needs_pyramid else slice(-1, None)
     chunks = []
     with no_grad():
         for idx in batches(list(range(len(samples))), batch_size):
             images, _, meta, bands = assemble_batch(samples, idx)
-            taps, adapter_tokens = model.backbone.encode(images, bands, meta)
-            arrays = [t.data for t in taps[reads]]
-            if adapter_tokens is not None:
-                arrays.append(adapter_tokens.data)
-            chunks.append(arrays)
+            chunks.append([t.data for t in model.encode(images, bands, meta)])
     return [np.concatenate(parts) for parts in zip(*chunks)]
 
 
@@ -231,9 +223,7 @@ def _batch_loss(model: SegmentationModel, samples, features, idx, training: bool
     if features is None:
         logits = model.forward(images, bands=bands, meta=meta, training=training)
     else:
-        inputs = [Tensor(a[idx]) for a in features]
-        adapter_tokens = inputs.pop() if model.backbone.adapter is not None else None
-        logits = model.head(inputs, adapter_tokens, training)
+        logits = model.head([Tensor(a[idx]) for a in features], training)
     n_valid = int((masks != IGNORE_INDEX).sum())
     loss = F.cross_entropy(logits, masks, ignore_index=IGNORE_INDEX) if n_valid else None
     return logits, masks, loss, n_valid

@@ -8,7 +8,7 @@ from peftseg.backbone import BackboneConfig, TransformerBlock, ViTBackbone, defa
 from peftseg.decoders import DecoderConfig
 from peftseg.errors import ConfigError, InputTypeError, ShapeError
 from peftseg.model import build_model
-from peftseg.peft import LoraConfig
+from peftseg.peft import LoraConfig, VitAdapterConfig, VptConfig, attach_vit_adapter, attach_vpt
 
 from conftest import BANDS6, BANDS10, tiny_backbone
 
@@ -115,24 +115,19 @@ def test_tapped_maps_have_grid_extent():
 
 
 def test_prompt_blocks_leave_patch_count_unchanged():
-    cfg = tiny_backbone()
-    backbone = ViTBackbone(cfg, seed=5)
-    prompts = [Tensor(RNG.uniform(-0.1, 0.1, size=(5, 64)).astype(np.float32))
-               for _ in range(cfg.depth)]
+    backbone = attach_vpt(ViTBackbone(tiny_backbone(), seed=5), VptConfig(prompts_per_layer=5))
     tokens = backbone.embed_patches(RNG.normal(size=(6, 64, 64)).astype(np.float32))
-    maps = backbone.forward_features(tokens, prompts=prompts)
+    maps = backbone.forward_features(tokens)
     for m in maps:
         assert m.shape == (8, 8, 64)
 
 
-def test_forward_without_prompts_is_plain_vit():
-    cfg = tiny_backbone()
-    backbone = ViTBackbone(cfg, seed=6)
-    tokens = backbone.embed_patches(RNG.normal(size=(6, 64, 64)).astype(np.float32))
-    a = backbone.forward_features(tokens)
-    b = backbone.forward_features(tokens, prompts=None)
-    for x, y in zip(a, b):
-        np.testing.assert_array_equal(x.data, y.data)
+def test_prompt_blocks_and_adapter_injection_rejected_together():
+    backbone = attach_vpt(ViTBackbone(tiny_backbone(), seed=5), VptConfig(prompts_per_layer=2))
+    attach_vit_adapter(backbone, VitAdapterConfig(channels=(16, 16, 16)))
+    tokens = backbone.embed_patches(np.zeros((6, 64, 64), dtype=np.float32))
+    with pytest.raises(ShapeError, match="cannot be combined"):
+        backbone.forward_features(tokens)
 
 
 def test_metadata_disabled_gives_zero_vector():
@@ -286,20 +281,6 @@ def test_kv_rows_outside_range_rejected():
     for kv_rows in (-1, 5, 6):
         with pytest.raises(ShapeError, match="key/value-only rows"):
             block(x, kv_rows=kv_rows)
-
-
-def test_bad_prompt_block_names_its_layer():
-    cfg = tiny_backbone()
-    backbone = ViTBackbone(cfg, seed=0)
-    tokens = backbone.embed_patches(np.zeros((6, 64, 64), dtype=np.float32))
-    good = [Tensor(np.zeros((3, 64), dtype=np.float32)) for _ in range(cfg.depth)]
-    for layer, bad in ((1, np.zeros((3, 64), dtype=np.float32)),
-                       (3, Tensor(np.zeros((3, 16), dtype=np.float32))),
-                       (4, Tensor(np.zeros((1, 3, 64), dtype=np.float32)))):
-        prompts = list(good)
-        prompts[layer - 1] = bad
-        with pytest.raises(ShapeError, match=f"layer {layer} "):
-            backbone.forward_features(tokens, prompts=prompts)
 
 
 def test_primitive_rejects_a_non_tensor_input():

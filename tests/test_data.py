@@ -192,6 +192,32 @@ def test_zero_std_rejected(tmp_path):
                         bands=BANDS, band_stats={"b1": (0.0, 0.0)}, samples=[], splits={})
 
 
+@pytest.mark.parametrize("mean,std", [(0.0, np.nan), (np.nan, 1.0), (np.inf, 1.0),
+                                      (0.0, np.inf), (0.0, -1.0)])
+def test_unusable_band_stat_rejected_by_manifest_and_normalize(tmp_path, mean, std):
+    """A NaN std passes a ``std <= 0`` test: such a manifest.json once loaded and
+    evaluated to a plausible mIoU from NaN logits."""
+    stats = {b: (0.0, 1.0) for b in BANDS}
+    DatasetManifest(root=tmp_path, num_classes=2, class_names=["a", "b"],
+                    bands=BANDS, band_stats=stats, samples=[], splits={}).save()
+    path = tmp_path / "manifest.json"
+    payload = json.loads(path.read_text())
+    payload["band_stats"]["b2"] = {"mean": mean, "std": std}
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DataError, match="'b2'"):
+        DatasetManifest.load(tmp_path)
+    with pytest.raises(DataError, match="'b2'"):
+        normalize(make_sample(), {**stats, "b2": (mean, std)})
+
+
+@pytest.mark.parametrize("pixel", [np.nan, np.inf])
+def test_non_finite_pixel_makes_band_stats_raise(pixel):
+    samples = [make_sample(seed=i) for i in range(3)]
+    samples[1].image[1, 4, 4] = pixel
+    with pytest.raises(DataError, match="'b2'"):
+        compute_band_stats(samples, BANDS)
+
+
 def test_verify_files_lists_missing(tmp_path):
     info = SampleInfo(sample_id="ghost", region="r", lat=0, lon=0,
                       day_of_year=1, year=2020, labels=(0,))

@@ -8,7 +8,7 @@ import pytest
 from peftseg.autodiff import Tensor, no_grad
 from peftseg.decoders import DecoderConfig
 from peftseg.data import IGNORE_INDEX, normalize, subset_bands
-from peftseg.errors import ConfigError, DataError, MetricError, TrainingDivergedError
+from peftseg.errors import ConfigError, DataError, MetricError, ShapeError, TrainingDivergedError
 from peftseg.model import build_model
 from peftseg.synthetic import SyntheticConfig, generate_synthetic
 from peftseg.training import (AdamW, EarlyStopping, ReduceOnPlateau, RunConfig,
@@ -274,9 +274,12 @@ def test_head_on_cached_taps_equals_forward(mini_manifest, kind, method):
 
 @pytest.mark.parametrize("kind,method,n_arrays", [("linear", "linear_probe", 1),
                                                   ("unet", "linear_probe", 4),
-                                                  ("unet", "vit_adapter", 5)])
+                                                  ("unet", "vit_adapter", 2),
+                                                  ("linear", "vit_adapter", 1)])
 def test_cache_holds_one_array_per_head_input(mini_manifest, kind, method, n_arrays):
-    """Row i of each cached array is bit-equal to encoding sample i alone."""
+    """Row i of each cached array is bit-equal to encoding sample i alone: the
+    final tap for a single-scale head, the four taps for a pyramid head, the
+    final tap and the adapter tokens for a pyramid head over an adapter."""
     from peftseg.training import _frozen_features, load_split
     model = _frozen_model(kind, method)
     samples = load_split(mini_manifest, "train", None, (32, 32))
@@ -287,10 +290,13 @@ def test_cache_holds_one_array_per_head_input(mini_manifest, kind, method, n_arr
         for i in range(len(samples)):
             images, _, meta, bands = assemble_batch(samples, [i])
             taps, adapter_tokens = model.backbone.encode(images, bands, meta)
-            alone = [t.data for t in (taps[-1:] if kind == "linear" else taps)]
-            if adapter_tokens is not None:
-                alone.append(adapter_tokens.data)
-            assert all(np.array_equal(a[i], b[0]) for a, b in zip(features, alone))
+            if kind == "linear":
+                alone = [taps[-1]]
+            elif adapter_tokens is not None:
+                alone = [taps[-1], adapter_tokens]
+            else:
+                alone = taps
+            assert all(np.array_equal(a[i], b.data[0]) for a, b in zip(features, alone))
 
 
 @pytest.mark.parametrize("kind", ["linear", "upernet"])
@@ -365,6 +371,24 @@ def test_train_split_without_a_labelled_pixel_raises_data_error(mini_manifest, t
     manifest = _blank_masks(mini_manifest, tmp_path, set(mini_manifest.split_ids("train")))
     with pytest.raises(DataError, match="'train'"):
         train(mini_run(manifest, method="linear_probe", max_epochs=1))
+
+
+@pytest.mark.parametrize("field,value", [("lat", np.nan), ("lon", np.nan),
+                                         ("day_of_year", np.nan), ("year", np.inf)])
+def test_non_finite_sample_metadata_raises_shape_error(mini_manifest, tmp_path, field, value):
+    """One test sample's sidecar holds a non-finite metadata value; with metadata
+    on, evaluation stops instead of scoring the NaN logits it would make."""
+    import copy
+    manifest = copy.copy(mini_manifest)
+    manifest.root = tmp_path
+    bad = mini_manifest.split_ids("test")[0]
+    for info in mini_manifest.samples:
+        sample = mini_manifest.load_sample(info.sample_id)
+        manifest.save_sample(replace(sample, **{field: value}) if info.sample_id == bad else sample)
+    model = build_model(tiny_backbone(image=(32, 32), metadata=True), DecoderConfig("linear", 2),
+                        "lora")
+    with pytest.raises(ShapeError, match="finite"):
+        evaluate(model, manifest, "test")
 
 
 @pytest.fixture(scope="module")
