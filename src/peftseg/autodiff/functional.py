@@ -87,9 +87,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 
 def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
-                 running_var: Tensor, training: bool, eps: float = 1e-5) -> Tensor:
+                 running_var: Tensor, training: bool, eps: float = 1e-5,
+                 relu: bool = False) -> Tensor:
+    """Batch norm; with ``relu`` it is followed by a ReLU in the same node."""
     return apply_primitive("batch_norm2d", [x, gamma, beta, running_mean, running_var],
-                           {"eps": eps, "training": training})
+                           {"eps": eps, "training": training, "relu": relu})
 
 
 def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1,

@@ -54,6 +54,12 @@ def _reads_gamma(needs):
     return (False, needs[0]) + (False,) * (len(needs) - 2)
 
 
+def _reads_affine(needs):
+    """Batch norm's rule reads gamma and beta for any gradient: a fused ReLU's
+    mask needs both, and ``saves`` cannot see whether the ReLU is on."""
+    return (False, any(needs), any(needs), False, False)
+
+
 @dataclass(frozen=True)
 class Primitive:
     forward: Callable
@@ -462,11 +468,17 @@ def _batch_norm2d_fwd(datas, attrs):
         inv = (1.0 / np.sqrt(rvar + eps)).reshape(1, c, 1, 1)
         xhat = (x - rmean.reshape(1, c, 1, 1)) * inv
     y = xhat * gamma.reshape(1, c, 1, 1) + beta.reshape(1, c, 1, 1)
+    if attrs.get("relu", False):
+        np.maximum(y, 0, out=y)
     return y, (xhat, inv)
 
 
 def _batch_norm2d_bwd(datas, attrs, ctx, g, needs):
     xhat, inv = ctx
+    if attrs.get("relu", False):
+        # the forward's own ops rebuild the pre-ReLU output, so the mask is exact
+        c = xhat.shape[1]
+        g = g * (xhat * datas[1].reshape(1, c, 1, 1) + datas[2].reshape(1, c, 1, 1) > 0)
     gx = None
     if needs[0]:
         dxhat = g * datas[1].reshape(1, -1, 1, 1)
@@ -618,8 +630,9 @@ def _conv2d_bwd(datas, attrs, ctx, g, needs):
     x, w = datas
     s, p = attrs.get("stride", 1), attrs.get("padding", 0)
     g = _flush_subnormals(g)
-    gx = _conv2d_grad_x(g, w, s, p, x.shape) if needs[0] else None
+    # gw first: its column buffer is freed before gx is allocated
     gw = _conv2d_grad_w(x, g, s, p, w.shape) if needs[1] else None
+    gx = _conv2d_grad_x(g, w, s, p, x.shape) if needs[0] else None
     return _flush_subnormals(gx), _flush_subnormals(gw)
 
 
@@ -653,8 +666,8 @@ def _conv_transpose2d_bwd(datas, attrs, ctx, g, needs):
     x, w = datas
     s, p = attrs.get("stride", 1), attrs.get("padding", 0)
     g = _flush_subnormals(g)
-    gx = _conv2d_core(g, w, s, p) if needs[0] else None
     gw = _conv2d_grad_w(g, x, s, p, w.shape) if needs[1] else None
+    gx = _conv2d_core(g, w, s, p) if needs[0] else None
     return _flush_subnormals(gx), _flush_subnormals(gw)
 
 
@@ -832,7 +845,7 @@ _register("relu", _relu_fwd, _relu_bwd, _reads_all)
 _register("softmax", _softmax_fwd, _softmax_bwd, _reads_none)
 _register("log_softmax", _log_softmax_fwd, _log_softmax_bwd, _reads_none)
 _register("layer_norm", _layer_norm_fwd, _layer_norm_bwd, _reads_gamma)
-_register("batch_norm2d", _batch_norm2d_fwd, _batch_norm2d_bwd, _reads_gamma)
+_register("batch_norm2d", _batch_norm2d_fwd, _batch_norm2d_bwd, _reads_affine)
 _register("conv2d", _conv2d_fwd, _conv2d_bwd, _reads_other, linear=True)
 _register("conv_transpose2d", _conv_transpose2d_fwd, _conv_transpose2d_bwd, _reads_other, linear=True)
 _register("bilinear_resize", _bilinear_resize_fwd, _bilinear_resize_bwd, _reads_none, linear=True)

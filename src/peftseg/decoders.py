@@ -7,6 +7,8 @@ downsampled by a strided convolution. The linear head is a single transposed
 convolution with no nonlinearity; the FCN head stacks transposed-conv blocks
 with 3x3 convolutions, channel layer norm, and GeLU; the pyramid heads follow
 the usual FPN+PPM and skip-connection designs with bilinear upsampling.
+UperNet's PPM, lateral, smooth and fuse convs and every UNet conv but the
+classifier are conv-BN-ReLU blocks, whose batch norm applies the ReLU itself.
 """
 
 from __future__ import annotations
@@ -171,51 +173,53 @@ class FcnDecoder(Module):
 
 
 class UperNetDecoder(Module):
-    """FPN over the pyramid plus a pooling module on the coarsest level."""
+    """FPN over the pyramid plus a pooling module on the coarsest level. Every
+    conv but the classifier is a conv-BN-ReLU block."""
 
     def __init__(self, rng: np.random.Generator, cfg: DecoderConfig, pyramid_channels: tuple[int, ...]):
         ch = cfg.upernet_channels
         c0, c1, c2, c3 = pyramid_channels
         self.ppm_scales = cfg.ppm_scales
-        self.ppm = [Conv2d(rng, c3, ch, 1) for _ in cfg.ppm_scales]
-        self.ppm_fuse = Conv2d(rng, c3 + ch * len(cfg.ppm_scales), ch, 3, padding=1)
-        self.lateral = [Conv2d(rng, c, ch, 1) for c in (c0, c1, c2)]
-        self.smooth = [Conv2d(rng, ch, ch, 3, padding=1) for _ in range(3)]
-        self.fuse = Conv2d(rng, ch * 4, ch, 3, padding=1)
+        self.ppm = [_ConvBnRelu(rng, c3, ch, 1) for _ in cfg.ppm_scales]
+        self.ppm_fuse = _ConvBnRelu(rng, c3 + ch * len(cfg.ppm_scales), ch)
+        self.lateral = [_ConvBnRelu(rng, c, ch, 1) for c in (c0, c1, c2)]
+        self.smooth = [_ConvBnRelu(rng, ch, ch) for _ in range(3)]
+        self.fuse = _ConvBnRelu(rng, ch * 4, ch)
         self.classifier = Conv2d(rng, ch, cfg.num_classes, 1)
 
-    def _ppm_branches(self, coarsest: Tensor) -> list[Tensor]:
+    def _ppm_branches(self, coarsest: Tensor, training: bool = False) -> list[Tensor]:
         h, w = coarsest.shape[2], coarsest.shape[3]
         branches = []
-        for s, conv in zip(self.ppm_scales, self.ppm):
+        for s, block in zip(self.ppm_scales, self.ppm):
             pooled = F.adaptive_avg_pool2d(coarsest, s, s)
-            branches.append(F.bilinear_resize(F.relu(conv(pooled)), h, w))
+            branches.append(F.bilinear_resize(block(pooled, training), h, w))
         return branches
 
     def __call__(self, pyramid: FeaturePyramid, out_hw: tuple[int, int], training: bool = False) -> Tensor:
         p0, p1, p2, p3 = pyramid.maps
-        top = F.relu(self.ppm_fuse(F.concat([p3] + self._ppm_branches(p3), axis=1)))
+        top = self.ppm_fuse(F.concat([p3] + self._ppm_branches(p3, training), axis=1), training)
 
         feats = [None, None, None, top]
         for i in (2, 1, 0):
-            lateral = self.lateral[i]([p0, p1, p2][i])
+            lateral = self.lateral[i]([p0, p1, p2][i], training)
             upper = F.bilinear_resize(feats[i + 1], lateral.shape[2], lateral.shape[3])
-            feats[i] = self.smooth[i](F.add(lateral, upper))
+            feats[i] = self.smooth[i](F.add(lateral, upper), training)
 
         h0, w0 = feats[0].shape[2], feats[0].shape[3]
         fused = F.concat([feats[0]] + [F.bilinear_resize(f, h0, w0) for f in feats[1:]], axis=1)
-        x = F.relu(self.fuse(fused))
-        logits = self.classifier(x)
+        logits = self.classifier(self.fuse(fused, training))
         return F.bilinear_resize(logits, out_hw[0], out_hw[1])
 
 
 class _ConvBnRelu(Module):
-    def __init__(self, rng, c_in, c_out):
-        self.conv = Conv2d(rng, c_in, c_out, 3, padding=1)
+    """A k x k conv padded by k // 2, then batch norm applying the ReLU itself."""
+
+    def __init__(self, rng, c_in, c_out, k: int = 3):
+        self.conv = Conv2d(rng, c_in, c_out, k, padding=k // 2)
         self.bn = BatchNorm2d(c_out)
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
-        return F.relu(self.bn(self.conv(x), training))
+        return self.bn(self.conv(x), training, relu=True)
 
 
 class UNetDecoder(Module):

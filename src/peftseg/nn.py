@@ -121,7 +121,7 @@ class BatchNorm2d(Module):
         self.running_mean = np.zeros(channels, dtype=np.float32)
         self.running_var = np.ones(channels, dtype=np.float32)
 
-    def __call__(self, x: Tensor, training: bool) -> Tensor:
+    def __call__(self, x: Tensor, training: bool, relu: bool = False) -> Tensor:
         if training:
             batch_mean = x.data.mean(axis=(0, 2, 3))
             batch_var = x.data.var(axis=(0, 2, 3))
@@ -130,4 +130,4 @@ class BatchNorm2d(Module):
             self.running_var = ((1 - m) * self.running_var + m * batch_var).astype(np.float32)
         return F.batch_norm2d(x, self.gamma, self.beta,
                               Tensor(self.running_mean), Tensor(self.running_var),
-                              training=training)
+                              training=training, relu=relu)

@@ -112,6 +112,17 @@ def _top_two_gap(x: np.ndarray, k: int) -> float:
     return float((top[:, -1] - top[:, -2]).min())
 
 
+def _bn_relu_kink_gap(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> float:
+    """Smallest distance of a training-mode batch-norm output from 0, over its
+    slope in x: how far an input may move before some output crosses the kink."""
+    x = x.astype(np.float64)
+    mean, var = x.mean(axis=(0, 2, 3), keepdims=True), x.var(axis=(0, 2, 3), keepdims=True)
+    inv = 1.0 / np.sqrt(var + 1e-5)
+    scale = np.abs(gamma.reshape(1, -1, 1, 1)) * inv
+    return float((np.abs((x - mean) * inv * gamma.reshape(1, -1, 1, 1)
+                         + beta.reshape(1, -1, 1, 1)) / scale).min())
+
+
 def _gradcheck_case(op_id: str, rng: np.random.Generator):
     """Point tensor and scalar-valued function exercising one primitive."""
     def pt(shape, scale=1.0, away_from_zero=False):
@@ -183,6 +194,17 @@ def _gradcheck_case(op_id: str, rng: np.random.Generator):
         c = pt((2, 2, 3, 3))
         return pt((2, 2, 3, 3)), lambda x: F.sum(F.mul(
             F.batch_norm2d(x, g, b, rm, rv, training=True), c))
+    if op_id == "batch_norm2d relu":  # the conv-BN-ReLU block's fused ReLU
+        g, b = pt((2,)), pt((2,))
+        rm = Tensor(np.zeros(2, dtype=np.float32))
+        rv = Tensor(np.ones(2, dtype=np.float32))
+        c = pt((2, 2, 3, 3))
+        x = pt((2, 2, 3, 3))
+        # keep every output more than 4*eps (in input units) from the ReLU kink
+        while _bn_relu_kink_gap(x.data, g.data, b.data) <= 4 * GRAD_EPS:
+            x = pt((2, 2, 3, 3))
+        return x, lambda x: F.sum(F.mul(
+            F.batch_norm2d(x, g, b, rm, rv, training=True, relu=True), c))
     if op_id == "conv2d":
         w = pt((3, 2, 3, 3), scale=0.5)
         c = pt((1, 3, 3, 3))
@@ -221,7 +243,7 @@ def _gradcheck_case(op_id: str, rng: np.random.Generator):
 
 def test_criterion_3_gradients_and_adjoint():
     worst = {}
-    for op_id in (*registered_primitives(), "softmax alpha"):
+    for op_id in (*registered_primitives(), "softmax alpha", "batch_norm2d relu"):
         errs = []
         for instance in range(20):
             rng = np.random.default_rng(zlib.crc32(f"{op_id}/{instance}".encode()))

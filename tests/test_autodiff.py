@@ -197,6 +197,31 @@ def test_batch_norm_training_grad_check():
     assert grad_check(f, point, eps=1e-3) <= 1e-3
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("training", [True, False])
+def test_batch_norm_relu_is_byte_equal_to_batch_norm_then_relu(training, dtype):
+    """The fused ReLU keeps a conv-BN-ReLU block's bits: the same output and
+    the same gradients for x, gamma and beta as a separate relu node."""
+    rng = np.random.default_rng(7)
+
+    def t(*shape, requires_grad=True):
+        return Tensor(rng.normal(size=shape), requires_grad=requires_grad, dtype=dtype)
+
+    x, gamma, beta = t(4, 3, 5, 5), t(3), t(3)
+    rm = t(3, requires_grad=False)
+    rv = Tensor(np.abs(rng.normal(size=3)) + 0.5, dtype=dtype)
+    upstream = t(4, 3, 5, 5, requires_grad=False)
+
+    fused = F.batch_norm2d(x, gamma, beta, rm, rv, training=training, relu=True)
+    split = F.relu(F.batch_norm2d(x, gamma, beta, rm, rv, training=training))
+    assert fused.data.dtype == dtype and 0 < (fused.data > 0).mean() < 1
+    assert fused.data.tobytes() == split.data.tobytes()
+    fused_grads = backward(F.sum(F.mul(fused, upstream)))
+    split_grads = backward(F.sum(F.mul(split, upstream)))
+    for name, leaf in (("x", x), ("gamma", gamma), ("beta", beta)):
+        assert fused_grads[leaf].tobytes() == split_grads[leaf].tobytes(), name
+
+
 def test_cross_entropy_ignores_masked_positions_exactly():
     rng = np.random.default_rng(11)
     logits_data = rng.normal(size=(2, 3, 4, 4)).astype(np.float32)

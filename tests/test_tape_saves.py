@@ -25,6 +25,9 @@ def _cases(dtype):
     def a(*shape):
         return rng.normal(size=shape).astype(dtype)
 
+    def bn_inputs():
+        return [a(2, 2, 3, 3), a(2), a(2), a(2), np.abs(a(2)) + 0.5]
+
     return {
         "add": [([a(3, 4), a(4)], {})],
         "sub": [([a(3, 4), a(3, 1)], {})],
@@ -43,8 +46,9 @@ def _cases(dtype):
         "softmax": [([a(2, 5)], {"axis": -1}), ([a(2, 3, 4)], {"axis": -1, "alpha": 0.35})],
         "log_softmax": [([a(2, 5)], {"axis": 0})],
         "layer_norm": [([a(3, 6), a(6), a(6)], {"eps": 1e-5})],
-        "batch_norm2d": [([a(2, 2, 3, 3), a(2), a(2), a(2), np.abs(a(2)) + 0.5], {"training": t})
-                         for t in (True, False)],
+        "batch_norm2d": [(inputs, {"training": t, "relu": r})
+                         for t, inputs in ((True, bn_inputs()), (False, bn_inputs()))
+                         for r in (False, True)],
         "conv2d": [([a(2, 2, 5, 5), a(3, 2, 3, 3)], {"stride": 2, "padding": 1})],
         "conv_transpose2d": [([a(1, 2, 3, 3), a(2, 3, 2, 2)], {"stride": 2, "padding": 0})],
         "bilinear_resize": [([a(1, 2, 3, 4)], {"out_h": 5, "out_w": 7})],
