@@ -268,8 +268,8 @@ def compute_band_stats(samples, bands) -> dict[str, tuple[float, float]]:
         if count[band] == 0:
             raise DataError(f"no pixels observed for band {band!r}")
         mean = total[band] / count[band]
-        if not math.isfinite(total_sq[band]):  # a non-finite pixel: raise before inf - inf
-            _check_band_stat(band, mean, math.nan)
+        if not math.isfinite(total_sq[band]):  # checked before inf - inf can warn
+            raise DataError(f"band {band!r} has a non-finite pixel")
         var = max(total_sq[band] / count[band] - mean * mean, 0.0)
         std = float(np.sqrt(var))
         _check_band_stat(band, mean, std)

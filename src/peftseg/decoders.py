@@ -8,7 +8,9 @@ convolution with no nonlinearity; the FCN head stacks transposed-conv blocks
 with 3x3 convolutions, channel layer norm, and GeLU; the pyramid heads follow
 the usual FPN+PPM and skip-connection designs with bilinear upsampling.
 UperNet's PPM, lateral, smooth and fuse convs and every UNet conv but the
-classifier are conv-BN-ReLU blocks, whose batch norm applies the ReLU itself.
+classifier are conv-BN-ReLU blocks, whose batch norm applies the ReLU itself;
+only UperNet's scale-1 PPM conv is a plain conv-ReLU, because at batch 1 it
+sees a single value per channel, which batch norm cannot normalise.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .autodiff import Tensor, functional as F
 from .errors import ConfigError, ShapeError
-from .nn import BatchNorm2d, Conv2d, ConvTranspose2d, LayerNorm, Module
+from .nn import BatchNormRelu2d, Conv2d, ConvTranspose2d, LayerNorm, Module
 
 DECODER_KINDS = ("linear", "fcn", "upernet", "unet")
 
@@ -174,13 +176,15 @@ class FcnDecoder(Module):
 
 class UperNetDecoder(Module):
     """FPN over the pyramid plus a pooling module on the coarsest level. Every
-    conv but the classifier is a conv-BN-ReLU block."""
+    conv but the classifier is a conv-BN-ReLU block, except the scale-1 PPM
+    conv: pooled to 1x1, its batch statistics at batch 1 are one value per
+    channel, so it is a conv-ReLU."""
 
     def __init__(self, rng: np.random.Generator, cfg: DecoderConfig, pyramid_channels: tuple[int, ...]):
         ch = cfg.upernet_channels
         c0, c1, c2, c3 = pyramid_channels
         self.ppm_scales = cfg.ppm_scales
-        self.ppm = [_ConvBnRelu(rng, c3, ch, 1) for _ in cfg.ppm_scales]
+        self.ppm = [(_ConvBnRelu if s > 1 else _ConvRelu)(rng, c3, ch, 1) for s in cfg.ppm_scales]
         self.ppm_fuse = _ConvBnRelu(rng, c3 + ch * len(cfg.ppm_scales), ch)
         self.lateral = [_ConvBnRelu(rng, c, ch, 1) for c in (c0, c1, c2)]
         self.smooth = [_ConvBnRelu(rng, ch, ch) for _ in range(3)]
@@ -216,10 +220,20 @@ class _ConvBnRelu(Module):
 
     def __init__(self, rng, c_in, c_out, k: int = 3):
         self.conv = Conv2d(rng, c_in, c_out, k, padding=k // 2)
-        self.bn = BatchNorm2d(c_out)
+        self.bn = BatchNormRelu2d(c_out)
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
-        return self.bn(self.conv(x), training, relu=True)
+        return self.bn(self.conv(x), training)
+
+
+class _ConvRelu(Module):
+    """A k x k conv padded by k // 2, then a ReLU; called like ``_ConvBnRelu``."""
+
+    def __init__(self, rng, c_in, c_out, k: int):
+        self.conv = Conv2d(rng, c_in, c_out, k, padding=k // 2)
+
+    def __call__(self, x: Tensor, training: bool) -> Tensor:
+        return F.relu(self.conv(x))
 
 
 class UNetDecoder(Module):

@@ -112,8 +112,9 @@ class LayerNorm(Module):
         return F.layer_norm(x, self.gamma, self.beta)
 
 
-class BatchNorm2d(Module):
-    """Batch norm over (B, H, W) per channel with running-stat buffers."""
+class BatchNormRelu2d(Module):
+    """Batch norm over (B, H, W) per channel with running-stat buffers, then a
+    ReLU that the batch-norm node applies itself."""
 
     def __init__(self, channels: int):
         self.gamma = ones_param((channels,))
@@ -121,7 +122,7 @@ class BatchNorm2d(Module):
         self.running_mean = np.zeros(channels, dtype=np.float32)
         self.running_var = np.ones(channels, dtype=np.float32)
 
-    def __call__(self, x: Tensor, training: bool, relu: bool = False) -> Tensor:
+    def __call__(self, x: Tensor, training: bool) -> Tensor:
         if training:
             batch_mean = x.data.mean(axis=(0, 2, 3))
             batch_var = x.data.var(axis=(0, 2, 3))
@@ -130,4 +131,4 @@ class BatchNorm2d(Module):
             self.running_var = ((1 - m) * self.running_var + m * batch_var).astype(np.float32)
         return F.batch_norm2d(x, self.gamma, self.beta,
                               Tensor(self.running_mean), Tensor(self.running_var),
-                              training=training, relu=relu)
+                              training=training, relu=True)

@@ -217,7 +217,7 @@ def test_non_finite_pixel_makes_band_stats_raise(pixel):
     samples[1].image[1, 4, 4] = pixel
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no RuntimeWarning from inf - inf on the way
-        with pytest.raises(DataError, match="'b2'"):
+        with pytest.raises(DataError, match="band 'b2' has a non-finite pixel"):
             compute_band_stats(samples, BANDS)
 
 
