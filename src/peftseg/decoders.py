@@ -184,7 +184,8 @@ class UperNetDecoder(Module):
         ch = cfg.upernet_channels
         c0, c1, c2, c3 = pyramid_channels
         self.ppm_scales = cfg.ppm_scales
-        self.ppm = [(_ConvBnRelu if s > 1 else _ConvRelu)(rng, c3, ch, 1) for s in cfg.ppm_scales]
+        self.ppm = [_ConvBnRelu(rng, c3, ch, 1) if s > 1 else _ConvRelu(rng, c3, ch)
+                    for s in cfg.ppm_scales]
         self.ppm_fuse = _ConvBnRelu(rng, c3 + ch * len(cfg.ppm_scales), ch)
         self.lateral = [_ConvBnRelu(rng, c, ch, 1) for c in (c0, c1, c2)]
         self.smooth = [_ConvBnRelu(rng, ch, ch) for _ in range(3)]
@@ -227,10 +228,10 @@ class _ConvBnRelu(Module):
 
 
 class _ConvRelu(Module):
-    """A k x k conv padded by k // 2, then a ReLU; called like ``_ConvBnRelu``."""
+    """A 1 x 1 conv then a ReLU, called like ``_ConvBnRelu``."""
 
-    def __init__(self, rng, c_in, c_out, k: int):
-        self.conv = Conv2d(rng, c_in, c_out, k, padding=k // 2)
+    def __init__(self, rng, c_in, c_out):
+        self.conv = Conv2d(rng, c_in, c_out, 1)
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         return F.relu(self.conv(x))
