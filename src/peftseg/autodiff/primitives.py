@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import erf
 
 from ..errors import InputTypeError, ShapeError, UnknownPrimitiveError
-from .tensor import HEAP_ARRAY_BYTES, Node, Tensor, grad_enabled, no_grad
+from .tensor import Node, Tensor, grad_enabled, no_grad
 
 _INV_SQRT2 = 0.7071067811865476
 _INV_SQRT_2PI = 0.3989422804014327
@@ -430,9 +430,14 @@ def _standardise(x, axes, eps):
 
 
 def _standardise_grad(dxhat, xhat, inv, axes):
-    """The input gradient of ``_standardise`` from the gradient of its output."""
-    return inv * (dxhat - dxhat.mean(axis=axes, keepdims=True)
-                  - xhat * (dxhat * xhat).mean(axis=axes, keepdims=True))
+    """The input gradient of ``_standardise`` from the gradient of its output,
+    computed in place in ``dxhat``, which the caller must own."""
+    mean = dxhat.mean(axis=axes, keepdims=True)
+    m2 = (dxhat * xhat).mean(axis=axes, keepdims=True)
+    dxhat -= mean
+    dxhat -= xhat * m2
+    dxhat *= inv
+    return dxhat
 
 
 def _layer_norm_fwd(datas, attrs):
@@ -453,6 +458,14 @@ def _layer_norm_bwd(datas, attrs, ctx, g, needs):
     return gx, ggamma, gbeta
 
 
+def _bn_affine(xhat, gamma, beta):
+    """``xhat * gamma + beta`` per channel, with no temporary beside the result."""
+    c = xhat.shape[1]
+    y = xhat * gamma.reshape(1, c, 1, 1)
+    y += beta.reshape(1, c, 1, 1)
+    return y
+
+
 def _batch_norm2d_fwd(datas, attrs):
     x, gamma, beta, rmean, rvar = datas
     if x.ndim != 4:
@@ -467,7 +480,7 @@ def _batch_norm2d_fwd(datas, attrs):
     else:
         inv = (1.0 / np.sqrt(rvar + eps)).reshape(1, c, 1, 1)
         xhat = (x - rmean.reshape(1, c, 1, 1)) * inv
-    y = xhat * gamma.reshape(1, c, 1, 1) + beta.reshape(1, c, 1, 1)
+    y = _bn_affine(xhat, gamma, beta)
     if attrs.get("relu", False):
         np.maximum(y, 0, out=y)
     return y, (xhat, inv)
@@ -477,8 +490,7 @@ def _batch_norm2d_bwd(datas, attrs, ctx, g, needs):
     xhat, inv = ctx
     if attrs.get("relu", False):
         # the forward's own ops rebuild the pre-ReLU output, so the mask is exact
-        c = xhat.shape[1]
-        g = g * (xhat * datas[1].reshape(1, c, 1, 1) + datas[2].reshape(1, c, 1, 1) > 0)
+        g = g * (_bn_affine(xhat, datas[1], datas[2]) > 0)
     gx = None
     if needs[0]:
         dxhat = g * datas[1].reshape(1, -1, 1, 1)
@@ -495,16 +507,24 @@ def _batch_norm2d_bwd(datas, attrs, ctx, g, needs):
 # adjoint in w. conv_transpose2d reuses the adjoint as its forward, which
 # makes the conv/conv-transpose adjoint identity hold by construction.
 #
-# Each core is im2col + GEMM (Chellapilla et al., 2006), built one chunk at a
-# time so the columns stay under HEAP_ARRAY_BYTES, the size above which the
-# allocator maps fresh pages for every call; a larger single unit runs alone.
+# Each core is im2col + GEMM (Chellapilla et al., 2006), built one tile at a
+# time so that no column buffer exceeds COLUMN_BYTES. That is small next to
+# the activations a training step holds, yet it holds 7 output rows of
+# UperNet's 512-channel fuse conv, a GEMM that still runs at full speed: as
+# MEC (Cho & Brand, 2017) showed, im2col's working memory can shrink without
+# slowing the GEMM.
 # The forward map and its adjoint in x chunk images: columns are
 # (b, C*kh*kw, Ho*Wo) with rows in (c, u, v) order, so each GEMM reads and
 # writes NCHW directly, and each covers one image, so an image's result does
-# not depend on the batch it came in. The adjoint in w sums over the batch
-# anyway; it chunks channels and contracts each chunk's (c, u, v) rows with
-# the whole batch's (b, i, j) columns in one GEMM, which gives the bits of a
-# single full-batch GEMM.
+# not depend on the batch it came in. An image whose columns exceed the tile
+# runs alone: the forward in bands of output rows, the adjoint in x in chunks
+# of input channels. Either way each output element is the same dot product,
+# and whether an image is split depends only on its size. BLAS rounds it the
+# same way in a band as in the whole image at the sizes that get split; a far
+# narrower GEMM may take a small-matrix path that rounds otherwise.
+# The adjoint in w sums over the batch anyway; it chunks channels and
+# contracts each chunk's (c, u, v) rows with the whole batch's (b, i, j)
+# columns in one GEMM, which gives the bits of a single full-batch GEMM.
 #
 # Both conv backward rules flush float32 subnormals to zero in the upstream
 # gradient and in what they return. A softmax-times-1/pixels gradient can
@@ -512,16 +532,29 @@ def _batch_norm2d_bwd(datas, attrs, ctx, g, needs):
 # on a slow microcode path, up to 25x slower. The flush changes values by less
 # than float32's smallest normal; float64 arrays, NaN and inf pass unchanged.
 
+COLUMN_BYTES = 4 << 20
 _F32_TINY = np.finfo(np.float32).tiny
+_FLUSH_BLOCK = 1 << 16  # elements tested at a time, so the flush's masks stay small
 
 
 def _flush_subnormals(a):
-    """``a`` with float32 subnormals replaced by zero (``a`` itself if it has none)."""
+    """``a`` with float32 subnormals replaced by zero (``a`` itself if it has none).
+
+    The test runs block by block over ``a`` in memory order; the first hit
+    copies ``a`` once, keeping its layout, and each hit is zeroed in the copy.
+    """
     if a is None or a.dtype != np.float32:
         return a
-    mag = np.abs(a)
-    sub = (mag < _F32_TINY) & (mag > 0)
-    return np.where(sub, np.float32(0), a) if sub.any() else a
+    flat, out = a.ravel(order="K"), None
+    for start in range(0, flat.size, _FLUSH_BLOCK):
+        mag = np.abs(flat[start:start + _FLUSH_BLOCK])
+        sub = (mag < _F32_TINY) & (mag > 0)
+        if sub.any():
+            if out is None:
+                out = a.copy(order="K")
+                out_flat = out.ravel(order="K")
+            out_flat[start:start + _FLUSH_BLOCK][sub] = 0
+    return a if out is None else out
 
 
 def _conv_windows(x, k, stride):
@@ -534,16 +567,19 @@ def _conv_out_hw(h, w, kh, kw, stride, padding):
 
 
 def _chunks(n, unit_bytes):
-    """Slices of ``n`` images or channels whose im2col columns, ``unit_bytes``
-    each, stay under HEAP_ARRAY_BYTES (one unit at least)."""
-    step = max(1, (HEAP_ARRAY_BYTES - 1) // max(1, unit_bytes))
-    return [slice(i, i + step) for i in range(0, n, step)]
+    """Slices of ``n`` images, output rows or channels whose im2col columns,
+    ``unit_bytes`` each, take at most COLUMN_BYTES (one unit at least)."""
+    step = max(1, COLUMN_BYTES // max(1, unit_bytes))
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
+def _pad_hw(x, padding):
+    return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x
 
 
 def _taps(x, kh, kw, stride, padding, ho, wo):
     """Yield (u, v, view): the (b, c, ho, wo) inputs that kernel tap (u, v) multiplies."""
-    if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    x = _pad_hw(x, padding)
     for u in range(kh):
         for v in range(kw):
             yield u, v, x[:, :, u:u + ho * stride:stride, v:v + wo * stride:stride]
@@ -585,21 +621,39 @@ def _conv2d_core(x, w, stride, padding):
     o, _, kh, kw = w.shape
     ho, wo = _conv_out_hw(h, wd, kh, kw, stride, padding)
     w2 = w.reshape(o, c * kh * kw)
-    out = np.empty((b, o, ho * wo), dtype=np.result_type(x, w))
-    for part in _chunks(b, w2.shape[1] * ho * wo * x.itemsize):
-        np.matmul(w2, _image_cols(x[part], kh, kw, stride, padding, ho, wo), out=out[part])
-    return out.reshape(b, o, ho, wo)
+    out = np.empty((b, o, ho, wo), dtype=np.result_type(x, w))
+    row_bytes = w2.shape[1] * wo * x.itemsize
+    if ho * row_bytes <= COLUMN_BYTES:
+        for part in _chunks(b, ho * row_bytes):
+            np.matmul(w2, _image_cols(x[part], kh, kw, stride, padding, ho, wo),
+                      out=out[part].reshape(-1, o, ho * wo))
+        return out
+    for i in range(b):
+        xp = _pad_hw(x[i:i + 1], padding)
+        for rows in _chunks(ho, row_bytes):
+            band = xp[:, :, rows.start * stride:(rows.stop - 1) * stride + kh]
+            np.matmul(w2, _image_cols(band, kh, kw, stride, 0, rows.stop - rows.start, wo)[0],
+                      out=out[i, :, rows].reshape(o, -1))
+    return out
 
 
 def _conv2d_grad_x(gy, w, stride, padding, x_shape):
     b, c = x_shape[:2]
     o, _, kh, kw = w.shape
-    ho, wo = gy.shape[2], gy.shape[3]
-    w2t = w.reshape(o, c * kh * kw).T
+    k, ho, wo = kh * kw, gy.shape[2], gy.shape[3]
+    w2t = w.reshape(o, c * k).T
     g2 = gy.reshape(b, o, ho * wo)
     gx = np.empty(x_shape, dtype=np.result_type(gy, w))
-    for part in _chunks(b, w2t.shape[0] * ho * wo * gx.itemsize):
-        gx[part] = _col2im(np.matmul(w2t, g2[part]), x_shape, kh, kw, stride, padding)
+    channel_bytes = k * ho * wo * gx.itemsize
+    if c * channel_bytes <= COLUMN_BYTES:
+        for part in _chunks(b, c * channel_bytes):
+            gx[part] = _col2im(np.matmul(w2t, g2[part]), x_shape, kh, kw, stride, padding)
+        return gx
+    for i in range(b):
+        for chans in _chunks(c, channel_bytes):
+            dst = gx[i:i + 1, chans]
+            cols = np.matmul(w2t[chans.start * k:chans.stop * k], g2[i:i + 1])
+            dst[...] = _col2im(cols, dst.shape, kh, kw, stride, padding)
     return gx
 
 

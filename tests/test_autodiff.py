@@ -1,14 +1,15 @@
 """Backward rules: hand oracles, central-difference checks, tape invariants."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 from peftseg.autodiff import Tensor, backward, functional as F, grad_check, no_grad, trace
-from peftseg.autodiff.primitives import (_REGISTRY, _conv2d_core, _conv2d_grad_w,
-                                         _conv2d_grad_x)
+from peftseg.autodiff.primitives import (_FLUSH_BLOCK, _REGISTRY, _conv2d_core, _conv2d_grad_w,
+                                         _conv2d_grad_x, _flush_subnormals)
 from peftseg.autodiff.tensor import Node
 from peftseg.errors import EngineError, GraphConsumedError, ShapeError
 
@@ -222,6 +223,64 @@ def test_batch_norm_relu_is_byte_equal_to_batch_norm_then_relu(training, dtype):
         assert fused_grads[leaf].tobytes() == split_grads[leaf].tobytes(), name
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("relu", [False, True])
+def test_normalisation_rules_keep_the_bytes_of_their_one_expression_forms(relu, dtype):
+    """The in-place forms round every element as the plain expressions did."""
+    rng = np.random.default_rng(8)
+    x, g = rng.normal(size=(2, 4, 3, 5, 5)).astype(dtype)
+    gamma, beta = rng.normal(size=3).astype(dtype), rng.normal(size=3).astype(dtype)
+    stats = np.zeros(3, dtype=dtype), np.ones(3, dtype=dtype)
+    attrs = {"training": True, "relu": relu}
+    bn = _REGISTRY["batch_norm2d"]
+    y, (xhat, inv) = bn.forward([x, gamma, beta, *stats], attrs)
+    gx, ggamma, gbeta, _, _ = bn.backward([x, gamma, beta, *stats], attrs, (xhat, inv), g,
+                                          (True, True, True, False, False))
+    gm, bt = gamma.reshape(1, 3, 1, 1), beta.reshape(1, 3, 1, 1)
+    want_y = xhat * gm + bt
+    if relu:
+        g = g * (xhat * gm + bt > 0)
+        want_y = np.maximum(want_y, 0)
+    dxhat, axes = g * gm, (0, 2, 3)
+    want_gx = inv * (dxhat - dxhat.mean(axis=axes, keepdims=True)
+                     - xhat * (dxhat * xhat).mean(axis=axes, keepdims=True))
+    for got, want in ((y, want_y), (gx, want_gx), (ggamma, (g * xhat).sum(axis=axes)),
+                      (gbeta, g.sum(axis=axes))):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_layer_norm_rule_keeps_the_bytes_of_its_one_expression_form(dtype):
+    rng = np.random.default_rng(13)
+    x, g = rng.normal(size=(2, 4, 7, 6)).astype(dtype)
+    gamma, beta = rng.normal(size=(2, 6)).astype(dtype)
+    ln = _REGISTRY["layer_norm"]
+    _, (xhat, inv) = ln.forward([x, gamma, beta], {})
+    gx, _, _ = ln.backward([x, gamma, beta], {}, (xhat, inv), g, (True, False, False))
+    dxhat = g * gamma
+    want = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                  - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    assert gx.dtype == want.dtype and gx.tobytes() == want.tobytes()
+
+
+def test_batch_norm_forward_holds_one_temporary_next_to_its_outputs():
+    """Training-mode batch_norm2d with its ReLU at the UperNet fuse output's
+    shape: y, xhat and the variance's square (8.03 MB; 12.03 MB with y built
+    by ``xhat * gamma + beta``)."""
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(8, 128, 32, 32)).astype(np.float32)
+    gamma, beta = rng.normal(size=128).astype(np.float32), rng.normal(size=128).astype(np.float32)
+    stats = [np.zeros(128, dtype=np.float32), np.ones(128, dtype=np.float32)]
+    tracemalloc.start()
+    try:
+        y, (xhat, _) = _REGISTRY["batch_norm2d"].forward([x, gamma, beta, *stats],
+                                                         {"training": True, "relu": True})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < y.nbytes + xhat.nbytes + (4 << 20)
+
+
 def test_cross_entropy_ignores_masked_positions_exactly():
     rng = np.random.default_rng(11)
     logits_data = rng.normal(size=(2, 3, 4, 4)).astype(np.float32)
@@ -353,6 +412,63 @@ def test_conv_backward_flushes_subnormal_results(op):
         assert _is_subnormal(raw).any() and (np.abs(raw) >= np.finfo(np.float32).tiny).any()
         assert not _is_subnormal(got).any()
         np.testing.assert_array_equal(got, _flushed(raw))
+
+
+_TINY32 = np.finfo(np.float32).tiny
+
+
+def _flush_inputs():
+    """Arrays with float32 subnormals where the blocked flush can get them wrong."""
+    rng = np.random.default_rng(9)
+    n = 3 * _FLUSH_BLOCK + 77
+    last_block = rng.normal(size=n).astype(np.float32)
+    last_block[-3:] = np.float32(3e-39), np.float32(-5e-41), np.float32(1e-45)
+    negative = rng.normal(size=(2, _FLUSH_BLOCK + 5)).astype(np.float32)
+    negative[0, ::97] = np.float32(-1e-39)
+    negative[1, -1] = -_TINY32  # the smallest normal stays
+    # grad_w is returned as a transposed view; the hits sit in several blocks
+    transposed = rng.normal(size=(3, 3, 64, 3 * _FLUSH_BLOCK // 64)).astype(np.float32)
+    transposed[1, 2, 5, ::7] = np.float32(2e-40)
+    transposed = transposed.transpose(3, 0, 1, 2)
+    reversed_ = last_block[::-1]
+    strided = negative[:, ::3]
+    special = np.array([-0.0, np.nan, np.inf, -np.inf, 1e-40, -1e-40, 0.0], dtype=np.float32)
+    return {"last_partial_block": last_block, "negative": negative, "transposed": transposed,
+            "reversed": reversed_, "strided": strided, "zero_nan_inf": special}
+
+
+@pytest.mark.parametrize("name", sorted(_flush_inputs()))
+def test_flush_matches_the_whole_array_form(name):
+    a = _flush_inputs()[name]
+    before = a.copy()
+    got, want = _flush_subnormals(a), _flushed(a)
+    assert got is not a and _is_subnormal(a).any()
+    assert got.strides == want.strides
+    assert got.tobytes() == want.tobytes()
+    assert not _is_subnormal(got).any()
+    assert a.tobytes() == before.tobytes()  # the input is left as it was
+
+
+@pytest.mark.parametrize("name", ["clean", "zero_nan_inf", "transposed", "float64_tiny"])
+def test_flush_returns_the_array_itself_when_nothing_is_subnormal(name):
+    rng = np.random.default_rng(10)
+    a = {"clean": rng.normal(size=2 * _FLUSH_BLOCK + 3).astype(np.float32),
+         "zero_nan_inf": np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, _TINY32, -_TINY32],
+                                  dtype=np.float32),
+         "transposed": rng.normal(size=(70, _FLUSH_BLOCK // 8)).astype(np.float32).T,
+         "float64_tiny": np.full(5, 1e-40)}[name]
+    assert _flush_subnormals(a) is a
+
+
+def test_flush_without_subnormals_traces_under_one_megabyte():
+    a = np.random.default_rng(11).normal(size=(4, 1024, 1024)).astype(np.float32)  # 16 MB
+    tracemalloc.start()
+    try:
+        got = _flush_subnormals(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got is a and peak < 1 << 20
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

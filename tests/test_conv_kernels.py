@@ -1,4 +1,4 @@
-"""Convolution kernels against direct loops, across batch sizes and in bounded memory."""
+"""Convolution kernels against direct loops, across batch sizes and column tiles, and in bounded memory."""
 
 import tracemalloc
 
@@ -8,8 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from peftseg.autodiff import Tensor, functional as F, grad_check
 from peftseg.autodiff import primitives
-from peftseg.autodiff.primitives import _REGISTRY
-from peftseg.autodiff.tensor import HEAP_ARRAY_BYTES
+from peftseg.autodiff.primitives import _REGISTRY, COLUMN_BYTES
 
 
 # ---------------------------------------------------------------------------
@@ -85,15 +84,20 @@ def conv_cases(draw):
     return (b, c, h, w), (o, c, kh, kw), stride, padding, np.dtype(dtype), seed
 
 
-def _chunk_limit(chunk_units, x_shape, w_shape, stride, padding, itemsize):
-    """A heap limit that splits the batch into chunks of ``chunk_units`` images."""
+def _tile(split, units, x_shape, w_shape, stride, padding, itemsize):
+    """A column tile of ``units`` images, ``units`` output rows of one image
+    (the forward's bands) or ``units`` input channels of one image (grad_x's
+    chunks)."""
     ho, wo = _out_hw(x_shape, w_shape, stride, padding)
-    return chunk_units * w_shape[1] * w_shape[2] * w_shape[3] * ho * wo * itemsize + 1
+    _, c, kh, kw = w_shape
+    per_unit = {"images": c * kh * kw * ho * wo, "rows": c * kh * kw * wo,
+                "channels": kh * kw * ho * wo}[split]
+    return units * per_unit * itemsize
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(case=conv_cases(), chunk_units=st.sampled_from([None, 1, 2]))
-def test_conv2d_kernels_match_direct_loops(case, chunk_units):
+def _conv2d_within_direct_loop_bounds(case, tile):
+    """conv2d's forward and both gradients under a column tile of ``tile``
+    bytes (the default if None), each within its dot-product rounding bound."""
     x_shape, w_shape, stride, padding, dtype, seed = case
     rng = np.random.default_rng(seed)
     x = rng.normal(size=x_shape).astype(dtype)
@@ -102,9 +106,8 @@ def test_conv2d_kernels_match_direct_loops(case, chunk_units):
     gy = rng.normal(size=(x_shape[0], w_shape[0]) + _out_hw(x_shape, w_shape, stride, padding))
     gy = gy.astype(dtype)
     with pytest.MonkeyPatch.context() as mp:
-        if chunk_units is not None:
-            mp.setattr(primitives, "HEAP_ARRAY_BYTES",
-                       _chunk_limit(chunk_units, x_shape, w_shape, stride, padding, dtype.itemsize))
+        if tile is not None:
+            mp.setattr(primitives, "COLUMN_BYTES", tile)
         y, ctx = _REGISTRY["conv2d"].forward([x, w], attrs)
         gx, gw = _REGISTRY["conv2d"].backward([x, w], attrs, ctx, gy, (True, True))
     o, c, kh, kw = w_shape
@@ -116,11 +119,34 @@ def test_conv2d_kernels_match_direct_loops(case, chunk_units):
     assert_within_dot_bound(gw, ref_grad_w(x, gy, stride, padding, w_shape),
                             ref_grad_w(np.abs(x), np.abs(gy), stride, padding, w_shape),
                             gy.shape[0] * gy.shape[2] * gy.shape[3], dtype)
-    if chunk_units is not None:  # chunking changes no bit
+    return (x, w, gy, attrs), (y, gx, gw)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=conv_cases(), chunk_units=st.sampled_from([None, 1, 2]))
+def test_conv2d_kernels_match_direct_loops(case, chunk_units):
+    x_shape, w_shape, stride, padding, dtype, _ = case
+    tile = None if chunk_units is None else _tile(
+        "images", chunk_units, x_shape, w_shape, stride, padding, dtype.itemsize)
+    (x, w, gy, attrs), (y, gx, _) = _conv2d_within_direct_loop_bounds(case, tile)
+    if chunk_units is not None:  # chunking images changes no bit of y or grad_x
         y1, ctx1 = _REGISTRY["conv2d"].forward([x, w], attrs)
-        gx1, gw1 = _REGISTRY["conv2d"].backward([x, w], attrs, ctx1, gy, (True, True))
-        for got, whole in ((y, y1), (gx, gx1), (gw, gw1)):
-            assert got.tobytes() == whole.tobytes()
+        gx1, _ = _REGISTRY["conv2d"].backward([x, w], attrs, ctx1, gy, (True, True))
+        assert y.tobytes() == y1.tobytes() and gx.tobytes() == gx1.tobytes()
+    # grad_w's channel chunks are narrower GEMMs, which BLAS may round
+    # differently at these sizes; its bits are checked at real sizes below
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=conv_cases(), split=st.sampled_from(["rows", "channels"]), units=st.sampled_from([1, 2]))
+def test_conv2d_tiles_below_one_image_match_direct_loops(case, split, units):
+    """Bands of 1 or 2 output rows, grad_x chunks of 1 or 2 input channels.
+    At these sizes BLAS may round a narrower GEMM differently, so the bits
+    are checked at real sizes below."""
+    x_shape, w_shape, stride, padding, dtype, _ = case
+    assume(units < (_out_hw(x_shape, w_shape, stride, padding)[0] if split == "rows" else x_shape[1]))
+    _conv2d_within_direct_loop_bounds(
+        case, _tile(split, units, x_shape, w_shape, stride, padding, dtype.itemsize))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -139,7 +165,7 @@ def test_conv_transpose2d_matches_direct_loops(case, extra, chunk_units):
     g = rng.normal(size=out_shape).astype(dtype)
     with pytest.MonkeyPatch.context() as mp:
         if chunk_units is not None:
-            mp.setattr(primitives, "HEAP_ARRAY_BYTES", 1)
+            mp.setattr(primitives, "COLUMN_BYTES", 1)
         y, ctx = _REGISTRY["conv_transpose2d"].forward([x, w], attrs)
         gx, gw = _REGISTRY["conv_transpose2d"].backward([x, w], attrs, ctx, g, (True, True))
     assert_within_dot_bound(y, ref_grad_x(x, w, stride, padding, out_shape),
@@ -180,6 +206,9 @@ BATCH_CASES = {
     "pyramid_pool_bin": ("conv2d", (8, 64, 2, 2), (128, 64, 1, 1), {}),
     "unet_up": ("conv_transpose2d", (8, 64, 8, 8), (64, 32, 2, 2), {"stride": 2}),
     "linear_head": ("conv_transpose2d", (8, 64, 8, 8), (64, 2, 8, 8), {"stride": 8}),
+    # an image's columns exceed COLUMN_BYTES: bands of output rows, chunks of channels
+    "split_rows": ("conv2d", (3, 128, 32, 32), (128, 128, 3, 3), {"padding": 1}),
+    "split_channels": ("conv_transpose2d", (3, 128, 32, 32), (128, 128, 3, 3), {"padding": 1}),
 }
 
 
@@ -196,20 +225,61 @@ def test_conv_forward_is_batch_size_invariant(case):
 
 
 # ---------------------------------------------------------------------------
-# memory: the im2col columns stay within the heap threshold
+# split images: an image whose columns exceed the tile keeps the unsplit bits
 
-# The padded channel slice and the (B*Ho*Wo, O) copy of the upstream gradient
-# that grad_w holds next to its columns take about 8 MB at the shape below.
+# UperNet's fuse conv at half the batch and extent, and its 128-channel smooth
+# conv; both split at the default tile
+SPLIT_SHAPES = {"fuse": ((2, 512, 16, 16), (128, 512, 3, 3)),
+                "smooth": ((2, 128, 32, 32), (128, 128, 3, 3))}
+
+
+@pytest.mark.parametrize("shape", sorted(SPLIT_SHAPES))
+@pytest.mark.parametrize("split,units", [("rows", 1), ("rows", 2), ("channels", 1), ("channels", 2),
+                                         ("default", None)])
+def test_split_images_keep_the_unsplit_bits(shape, split, units):
+    """Forward bands and grad_x channel chunks give the bytes of one GEMM per image."""
+    x_shape, w_shape = SPLIT_SHAPES[shape]
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=x_shape).astype(np.float32)
+    w = rng.normal(size=w_shape).astype(np.float32)
+    gy = rng.normal(size=(x_shape[0], w_shape[0]) + x_shape[2:]).astype(np.float32)
+    attrs = {"padding": 1}
+    assert _tile("images", 1, x_shape, w_shape, 1, 1, 4) > COLUMN_BYTES
+
+    def run(tile):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(primitives, "COLUMN_BYTES", tile)
+            y, ctx = _REGISTRY["conv2d"].forward([x, w], attrs)
+            return (y,) + _REGISTRY["conv2d"].backward([x, w], attrs, ctx, gy, (True, True))
+
+    whole = run(_tile("images", 1, x_shape, w_shape, 1, 1, 4))
+    if split == "default":
+        checked, got = (0, 1, 2), run(COLUMN_BYTES)
+    else:  # a tiny tile also splits grad_w into GEMMs that BLAS may round differently
+        checked, got = (0,) if split == "rows" else (1,), run(_tile(split, units, x_shape, w_shape, 1, 1, 4))
+    for i in checked:
+        assert got[i].tobytes() == whole[i].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# memory: every im2col buffer stays within the column tile
+
+# The padded image or channel slice and the (B*Ho*Wo, O) copy of the upstream
+# gradient that grad_w holds next to its columns take about 6 MB at the shape below.
 MEMORY_SLACK = 16 << 20
 
 
-def test_conv_columns_stay_within_the_heap_threshold():
+def _fuse_case():
     """UperNet's fuse conv: the full-batch im2col of this shape is 151 MB."""
     rng = np.random.default_rng(0)
     x = rng.normal(size=(8, 512, 32, 32)).astype(np.float32)
     w = rng.normal(size=(128, 512, 3, 3)).astype(np.float32)
     gy = rng.normal(size=(8, 128, 32, 32)).astype(np.float32)
-    attrs = {"stride": 1, "padding": 1}
+    return x, w, gy, {"stride": 1, "padding": 1}
+
+
+def test_conv_columns_stay_within_the_heap_threshold():
+    x, w, gy, attrs = _fuse_case()
     tracemalloc.start()
     try:
         y, ctx = _REGISTRY["conv2d"].forward([x, w], attrs)
@@ -219,18 +289,27 @@ def test_conv_columns_stay_within_the_heap_threshold():
         tracemalloc.stop()
     # the inputs were allocated before tracing began, so the peak excludes them
     outputs = y.nbytes + gx.nbytes + gw.nbytes
-    assert peak < outputs + HEAP_ARRAY_BYTES + MEMORY_SLACK
+    assert peak < outputs + COLUMN_BYTES + MEMORY_SLACK
+
+
+def test_conv_forward_scratch_stays_within_three_tiles():
+    """At the fuse shape the forward holds its output, one padded image and
+    one band's columns: 10.20 MB (24.26 MB with 32 MB chunks of whole images)."""
+    x, w, _, attrs = _fuse_case()
+    tracemalloc.start()
+    try:
+        y, _ = _REGISTRY["conv2d"].forward([x, w], attrs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < y.nbytes + 3 * COLUMN_BYTES
 
 
 def test_conv_backward_frees_the_weight_columns_before_the_input_gradient():
-    """At the fuse shape, grad_w's column buffer (up to HEAP_ARRAY_BYTES) is
-    freed before grad_x exists: the backward peaks below both gradients plus
-    one buffer (50.25 MB; computing grad_x first peaked at 58.02 MB)."""
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=(8, 512, 32, 32)).astype(np.float32)
-    w = rng.normal(size=(128, 512, 3, 3)).astype(np.float32)
-    gy = rng.normal(size=(8, 128, 32, 32)).astype(np.float32)
-    attrs = {"stride": 1, "padding": 1}
+    """At the fuse shape, grad_w's column tile is freed before grad_x exists,
+    and the subnormal flush tests the gradients block by block: the backward
+    peaks at 26.21 MB (42.25 MB with 32 MB tiles and a full-size flush)."""
+    x, w, gy, attrs = _fuse_case()
     _, ctx = _REGISTRY["conv2d"].forward([x, w], attrs)
     tracemalloc.start()
     try:
@@ -238,4 +317,4 @@ def test_conv_backward_frees_the_weight_columns_before_the_input_gradient():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < gx.nbytes + gw.nbytes + HEAP_ARRAY_BYTES
+    assert peak < gx.nbytes + gw.nbytes + 3 * COLUMN_BYTES
