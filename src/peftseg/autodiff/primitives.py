@@ -513,18 +513,24 @@ def _batch_norm2d_bwd(datas, attrs, ctx, g, needs):
 # UperNet's 512-channel fuse conv, a GEMM that still runs at full speed: as
 # MEC (Cho & Brand, 2017) showed, im2col's working memory can shrink without
 # slowing the GEMM.
-# The forward map and its adjoint in x chunk images: columns are
-# (b, C*kh*kw, Ho*Wo) with rows in (c, u, v) order, so each GEMM reads and
-# writes NCHW directly, and each covers one image, so an image's result does
-# not depend on the batch it came in. An image whose columns exceed the tile
-# runs alone: the forward in bands of output rows, the adjoint in x in chunks
-# of input channels. Either way each output element is the same dot product,
-# and whether an image is split depends only on its size. BLAS rounds it the
-# same way in a band as in the whole image at the sizes that get split; a far
-# narrower GEMM may take a small-matrix path that rounds otherwise.
+# The forward map and its adjoint in x take as many whole images as fit the
+# tile: columns are (b, C*kh*kw, Ho*Wo) with rows in (c, u, v) order, so each
+# GEMM reads and writes NCHW directly, and each covers one image, so an
+# image's result does not depend on the batch it came in. An image whose
+# columns exceed the tile runs alone: the forward in bands of output rows, the
+# adjoint in x in chunks of input channels. Whether an image is split depends
+# only on its size.
 # The adjoint in w sums over the batch anyway; it chunks channels and
 # contracts each chunk's (c, u, v) rows with the whole batch's (b, i, j)
-# columns in one GEMM, which gives the bits of a single full-batch GEMM.
+# columns in one GEMM.
+#
+# A band or chunk computes each element with the same dot product as the
+# whole GEMM, but BLAS need not round it the same way: OpenBLAS hands a GEMM
+# of at most 10^6 multiply-adds to small-matrix kernels, and numpy one that is
+# a single row or column wide to gemv. So no band or chunk does _SPLIT_MACS or
+# fewer multiply-adds or is one row or column wide; it exceeds the tile
+# instead. Above that, float32 bands and chunks keep the bits of the whole
+# GEMM with the OpenBLAS numpy ships; float64 ones need not.
 #
 # Both conv backward rules flush float32 subnormals to zero in the upstream
 # gradient and in what they return. A softmax-times-1/pixels gradient can
@@ -533,6 +539,7 @@ def _batch_norm2d_bwd(datas, attrs, ctx, g, needs):
 # than float32's smallest normal; float64 arrays, NaN and inf pass unchanged.
 
 COLUMN_BYTES = 4 << 20
+_SPLIT_MACS = 1 << 20
 _F32_TINY = np.finfo(np.float32).tiny
 _FLUSH_BLOCK = 1 << 16  # elements tested at a time, so the flush's masks stay small
 
@@ -566,11 +573,20 @@ def _conv_out_hw(h, w, kh, kw, stride, padding):
     return (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1
 
 
-def _chunks(n, unit_bytes):
-    """Slices of ``n`` images, output rows or channels whose im2col columns,
-    ``unit_bytes`` each, take at most COLUMN_BYTES (one unit at least)."""
-    step = max(1, COLUMN_BYTES // max(1, unit_bytes))
-    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+def _chunks(n, unit_bytes, limit, least=1):
+    """Near-equal slices of ``n`` images, output rows or channels whose
+    columns, ``unit_bytes`` each, take at most ``limit`` bytes (one unit at
+    least), but fewer slices where that leaves one below ``least`` units."""
+    parts = -(-n // max(1, limit // max(1, unit_bytes)))
+    parts = min(parts, max(1, n // least))
+    return [slice(i * n // parts, (i + 1) * n // parts) for i in range(parts)]
+
+
+def _least_units(unit_macs, unit_width):
+    """Units a band or chunk needs to do more than _SPLIT_MACS multiply-adds
+    and be two GEMM rows or columns wide, at ``unit_macs`` and ``unit_width``
+    per unit."""
+    return max(_SPLIT_MACS // max(1, unit_macs) + 1, -(-2 // unit_width))
 
 
 def _pad_hw(x, padding):
@@ -623,17 +639,14 @@ def _conv2d_core(x, w, stride, padding):
     w2 = w.reshape(o, c * kh * kw)
     out = np.empty((b, o, ho, wo), dtype=np.result_type(x, w))
     row_bytes = w2.shape[1] * wo * x.itemsize
-    if ho * row_bytes <= COLUMN_BYTES:
-        for part in _chunks(b, ho * row_bytes):
-            np.matmul(w2, _image_cols(x[part], kh, kw, stride, padding, ho, wo),
-                      out=out[part].reshape(-1, o, ho * wo))
-        return out
-    for i in range(b):
-        xp = _pad_hw(x[i:i + 1], padding)
-        for rows in _chunks(ho, row_bytes):
+    least = _least_units(o * w2.shape[1] * wo, wo)
+    for imgs in _chunks(b, ho * row_bytes, COLUMN_BYTES):
+        n, xp = imgs.stop - imgs.start, _pad_hw(x[imgs], padding)
+        for rows in _chunks(ho, n * row_bytes, COLUMN_BYTES, least):  # one band if the images fit
+            m = rows.stop - rows.start
             band = xp[:, :, rows.start * stride:(rows.stop - 1) * stride + kh]
-            np.matmul(w2, _image_cols(band, kh, kw, stride, 0, rows.stop - rows.start, wo)[0],
-                      out=out[i, :, rows].reshape(o, -1))
+            np.matmul(w2, _image_cols(band, kh, kw, stride, 0, m, wo),
+                      out=out[imgs, :, rows].reshape(n, o, m * wo))
     return out
 
 
@@ -645,24 +658,26 @@ def _conv2d_grad_x(gy, w, stride, padding, x_shape):
     g2 = gy.reshape(b, o, ho * wo)
     gx = np.empty(x_shape, dtype=np.result_type(gy, w))
     channel_bytes = k * ho * wo * gx.itemsize
-    if c * channel_bytes <= COLUMN_BYTES:
-        for part in _chunks(b, c * channel_bytes):
-            gx[part] = _col2im(np.matmul(w2t, g2[part]), x_shape, kh, kw, stride, padding)
-        return gx
-    for i in range(b):
-        for chans in _chunks(c, channel_bytes):
-            dst = gx[i:i + 1, chans]
-            cols = np.matmul(w2t[chans.start * k:chans.stop * k], g2[i:i + 1])
+    least = _least_units(k * ho * wo * o, k)
+    for imgs in _chunks(b, c * channel_bytes, COLUMN_BYTES):
+        n = imgs.stop - imgs.start
+        for chans in _chunks(c, n * channel_bytes, COLUMN_BYTES, least):  # one chunk if the images fit
+            dst = gx[imgs, chans]
+            cols = np.matmul(w2t[chans.start * k:chans.stop * k], g2[imgs])
             dst[...] = _col2im(cols, dst.shape, kh, kw, stride, padding)
     return gx
 
 
-def _conv2d_grad_w(x, gy, stride, padding, w_shape):
+def _conv2d_grad_w(x, gy, stride, padding, w_shape, limit=None):
+    """The adjoint in w, whose column chunks take at most ``limit`` bytes
+    (COLUMN_BYTES if None)."""
     o, c, kh, kw = w_shape
     b, ho, wo = x.shape[0], gy.shape[2], gy.shape[3]
     g2 = gy.transpose(0, 2, 3, 1).reshape(b * ho * wo, o)
     gw = np.empty((c, kh, kw, o), dtype=np.result_type(x, gy))
-    for part in _chunks(c, kh * kw * b * ho * wo * x.itemsize):
+    unit = kh * kw * b * ho * wo
+    limit = COLUMN_BYTES if limit is None else limit
+    for part in _chunks(c, unit * x.itemsize, limit, _least_units(unit * o, kh * kw)):
         np.matmul(_channel_cols(x[:, part], kh, kw, stride, padding, ho, wo), g2,
                   out=gw[part].reshape(-1, o))
     return gw.transpose(3, 0, 1, 2)
@@ -684,8 +699,10 @@ def _conv2d_bwd(datas, attrs, ctx, g, needs):
     x, w = datas
     s, p = attrs.get("stride", 1), attrs.get("padding", 0)
     g = _flush_subnormals(g)
-    # gw first: its column buffer is freed before gx is allocated
-    gw = _conv2d_grad_w(x, g, s, p, w.shape) if needs[1] else None
+    # gw first: its columns are freed before gx is allocated, so they may take
+    # the bytes gx will, less gw's own copy of g
+    limit = max(COLUMN_BYTES, x.nbytes - g.nbytes) if needs[0] else COLUMN_BYTES
+    gw = _conv2d_grad_w(x, g, s, p, w.shape, limit) if needs[1] else None
     gx = _conv2d_grad_x(g, w, s, p, x.shape) if needs[0] else None
     return _flush_subnormals(gx), _flush_subnormals(gw)
 

@@ -84,20 +84,15 @@ def conv_cases(draw):
     return (b, c, h, w), (o, c, kh, kw), stride, padding, np.dtype(dtype), seed
 
 
-def _tile(split, units, x_shape, w_shape, stride, padding, itemsize):
-    """A column tile of ``units`` images, ``units`` output rows of one image
-    (the forward's bands) or ``units`` input channels of one image (grad_x's
-    chunks)."""
+def _chunk_limit(chunk_units, x_shape, w_shape, stride, padding, itemsize):
+    """A column tile that splits the batch into chunks of ``chunk_units`` images."""
     ho, wo = _out_hw(x_shape, w_shape, stride, padding)
-    _, c, kh, kw = w_shape
-    per_unit = {"images": c * kh * kw * ho * wo, "rows": c * kh * kw * wo,
-                "channels": kh * kw * ho * wo}[split]
-    return units * per_unit * itemsize
+    return chunk_units * w_shape[1] * w_shape[2] * w_shape[3] * ho * wo * itemsize + 1
 
 
-def _conv2d_within_direct_loop_bounds(case, tile):
-    """conv2d's forward and both gradients under a column tile of ``tile``
-    bytes (the default if None), each within its dot-product rounding bound."""
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=conv_cases(), chunk_units=st.sampled_from([None, 1, 2]))
+def test_conv2d_kernels_match_direct_loops(case, chunk_units):
     x_shape, w_shape, stride, padding, dtype, seed = case
     rng = np.random.default_rng(seed)
     x = rng.normal(size=x_shape).astype(dtype)
@@ -106,8 +101,9 @@ def _conv2d_within_direct_loop_bounds(case, tile):
     gy = rng.normal(size=(x_shape[0], w_shape[0]) + _out_hw(x_shape, w_shape, stride, padding))
     gy = gy.astype(dtype)
     with pytest.MonkeyPatch.context() as mp:
-        if tile is not None:
-            mp.setattr(primitives, "COLUMN_BYTES", tile)
+        if chunk_units is not None:
+            mp.setattr(primitives, "COLUMN_BYTES",
+                       _chunk_limit(chunk_units, x_shape, w_shape, stride, padding, dtype.itemsize))
         y, ctx = _REGISTRY["conv2d"].forward([x, w], attrs)
         gx, gw = _REGISTRY["conv2d"].backward([x, w], attrs, ctx, gy, (True, True))
     o, c, kh, kw = w_shape
@@ -119,34 +115,11 @@ def _conv2d_within_direct_loop_bounds(case, tile):
     assert_within_dot_bound(gw, ref_grad_w(x, gy, stride, padding, w_shape),
                             ref_grad_w(np.abs(x), np.abs(gy), stride, padding, w_shape),
                             gy.shape[0] * gy.shape[2] * gy.shape[3], dtype)
-    return (x, w, gy, attrs), (y, gx, gw)
-
-
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(case=conv_cases(), chunk_units=st.sampled_from([None, 1, 2]))
-def test_conv2d_kernels_match_direct_loops(case, chunk_units):
-    x_shape, w_shape, stride, padding, dtype, _ = case
-    tile = None if chunk_units is None else _tile(
-        "images", chunk_units, x_shape, w_shape, stride, padding, dtype.itemsize)
-    (x, w, gy, attrs), (y, gx, _) = _conv2d_within_direct_loop_bounds(case, tile)
-    if chunk_units is not None:  # chunking images changes no bit of y or grad_x
+    if chunk_units is not None:  # chunking changes no bit
         y1, ctx1 = _REGISTRY["conv2d"].forward([x, w], attrs)
-        gx1, _ = _REGISTRY["conv2d"].backward([x, w], attrs, ctx1, gy, (True, True))
-        assert y.tobytes() == y1.tobytes() and gx.tobytes() == gx1.tobytes()
-    # grad_w's channel chunks are narrower GEMMs, which BLAS may round
-    # differently at these sizes; its bits are checked at real sizes below
-
-
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(case=conv_cases(), split=st.sampled_from(["rows", "channels"]), units=st.sampled_from([1, 2]))
-def test_conv2d_tiles_below_one_image_match_direct_loops(case, split, units):
-    """Bands of 1 or 2 output rows, grad_x chunks of 1 or 2 input channels.
-    At these sizes BLAS may round a narrower GEMM differently, so the bits
-    are checked at real sizes below."""
-    x_shape, w_shape, stride, padding, dtype, _ = case
-    assume(units < (_out_hw(x_shape, w_shape, stride, padding)[0] if split == "rows" else x_shape[1]))
-    _conv2d_within_direct_loop_bounds(
-        case, _tile(split, units, x_shape, w_shape, stride, padding, dtype.itemsize))
+        gx1, gw1 = _REGISTRY["conv2d"].backward([x, w], attrs, ctx1, gy, (True, True))
+        for got, whole in ((y, y1), (gx, gx1), (gw, gw1)):
+            assert got.tobytes() == whole.tobytes()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -197,6 +170,103 @@ def test_conv_grad_check_small_shapes(op, wrt, stride, padding, kernel):
 
 
 # ---------------------------------------------------------------------------
+# tiles below one image: bands of output rows and chunks of input channels
+
+UNSPLIT = 1 << 62  # a column tile that splits nothing
+
+
+def _tile(split, units, x_shape, w_shape, stride, padding, itemsize):
+    """A column tile of ``units`` images, ``units`` output rows of one image
+    (the forward's bands) or ``units`` input channels of one image (grad_x's
+    chunks)."""
+    ho, wo = _out_hw(x_shape, w_shape, stride, padding)
+    _, c, kh, kw = w_shape
+    per_unit = {"images": c * kh * kw * ho * wo, "rows": c * kh * kw * wo,
+                "channels": kh * kw * ho * wo}[split]
+    return units * per_unit * itemsize
+
+
+def _case_arrays(case):
+    x_shape, w_shape, stride, padding, dtype, seed = case
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=x_shape).astype(dtype)
+    w = rng.normal(size=w_shape).astype(dtype)
+    gy = rng.normal(size=(x_shape[0], w_shape[0]) + _out_hw(x_shape, w_shape, stride, padding))
+    return x, w, gy.astype(dtype), {"stride": stride, "padding": padding}
+
+
+def _conv2d_under(x, w, gy, attrs, tile, split_macs=None):
+    """conv2d's forward and both gradients under a column tile of ``tile``
+    bytes and, if given, a split floor of ``split_macs`` multiply-adds."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(primitives, "COLUMN_BYTES", tile)
+        if split_macs is not None:
+            mp.setattr(primitives, "_SPLIT_MACS", split_macs)
+        y, ctx = _REGISTRY["conv2d"].forward([x, w], attrs)
+        return (y,) + _REGISTRY["conv2d"].backward([x, w], attrs, ctx, gy, (True, True))
+
+
+def _assert_within_direct_loop_bounds(x, w, gy, attrs, y, gx, gw):
+    (o, c, kh, kw), s, p = w.shape, attrs["stride"], attrs["padding"]
+    assert_within_dot_bound(y, ref_conv(x, w, s, p), ref_conv(np.abs(x), np.abs(w), s, p),
+                            c * kh * kw, x.dtype)
+    assert_within_dot_bound(gx, ref_grad_x(gy, w, s, p, x.shape),
+                            ref_grad_x(np.abs(gy), np.abs(w), s, p, x.shape), o * kh * kw, x.dtype)
+    assert_within_dot_bound(gw, ref_grad_w(x, gy, s, p, w.shape),
+                            ref_grad_w(np.abs(x), np.abs(gy), s, p, w.shape),
+                            gy.shape[0] * gy.shape[2] * gy.shape[3], x.dtype)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=conv_cases(), split=st.sampled_from(["rows", "channels"]), units=st.sampled_from([1, 2]))
+def test_conv2d_tiles_below_one_image_match_direct_loops(case, split, units):
+    """Bands of 1 or 2 output rows, grad_x chunks of 1 or 2 input channels, at
+    any stride and padding. GEMMs this small are below the kernels' split
+    floor, where BLAS may round them otherwise, so the floor is lifted and only
+    the rounding bound is checked; the bits are checked above the floor."""
+    x_shape, w_shape, stride, padding, dtype, _ = case
+    assume(units < (_out_hw(x_shape, w_shape, stride, padding)[0] if split == "rows" else x_shape[1]))
+    x, w, gy, attrs = _case_arrays(case)
+    tile = _tile(split, units, x_shape, w_shape, stride, padding, dtype.itemsize)
+    _assert_within_direct_loop_bounds(x, w, gy, attrs, *_conv2d_under(x, w, gy, attrs, tile, split_macs=0))
+
+
+@st.composite
+def split_cases(draw):
+    """float32 convs wide enough that their bands and channel chunks can stay
+    above the split floor, with a tile of 1 or 2 rows or channels that splits them."""
+    kh, kw = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    padding = draw(st.integers(0, min(kh, kw) - 1))
+    h, w = draw(st.integers(12, 24)), draw(st.integers(12, 24))
+    b, c, o = draw(st.integers(1, 2)), draw(st.integers(96, 192)), draw(st.integers(96, 160))
+    stride = draw(st.integers(1, 2))
+    seed = draw(st.integers(0, 2**32 - 1))
+    case = (b, c, h, w), (o, c, kh, kw), stride, padding, np.dtype(np.float32), seed
+    split, units = draw(st.sampled_from(["rows", "channels"])), draw(st.integers(1, 2))
+    ho, wo = _out_hw(*case[:4])
+    if split == "rows":
+        n, least = ho, primitives._least_units(o * c * kh * kw * wo, wo)
+    else:
+        n, least = c, primitives._least_units(kh * kw * ho * wo * o, kh * kw)
+    tile = _tile(split, units, *case[:4], 4)
+    assume(len(primitives._chunks(n, tile // units, tile, least)) > 1)
+    return case, tile
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(case_tile=split_cases())
+def test_split_images_match_direct_loops_and_keep_the_unsplit_bits(case_tile):
+    """Above the split floor, bands and channel chunks (and grad_w's channel
+    chunks under the same tile) give the bytes of the unsplit GEMMs."""
+    case, tile = case_tile
+    x, w, gy, attrs = _case_arrays(case)
+    got = _conv2d_under(x, w, gy, attrs, tile)
+    _assert_within_direct_loop_bounds(x, w, gy, attrs, *got)
+    for split, whole in zip(got, _conv2d_under(x, w, gy, attrs, UNSPLIT)):
+        assert split.tobytes() == whole.tobytes()
+
+
+# ---------------------------------------------------------------------------
 # batch-size invariance: every GEMM covers one image
 
 BATCH_CASES = {
@@ -225,7 +295,7 @@ def test_conv_forward_is_batch_size_invariant(case):
 
 
 # ---------------------------------------------------------------------------
-# split images: an image whose columns exceed the tile keeps the unsplit bits
+# split images at real shapes: the default tile, and bands or chunks of 1 or 2
 
 # UperNet's fuse conv at half the batch and extent, and its 128-channel smooth
 # conv; both split at the default tile
@@ -237,32 +307,23 @@ SPLIT_SHAPES = {"fuse": ((2, 512, 16, 16), (128, 512, 3, 3)),
 @pytest.mark.parametrize("split,units", [("rows", 1), ("rows", 2), ("channels", 1), ("channels", 2),
                                          ("default", None)])
 def test_split_images_keep_the_unsplit_bits(shape, split, units):
-    """Forward bands and grad_x channel chunks give the bytes of one GEMM per image."""
+    """Forward bands, grad_x channel chunks and grad_w's channel chunks give
+    the bytes of the unsplit GEMMs."""
     x_shape, w_shape = SPLIT_SHAPES[shape]
     rng = np.random.default_rng(4)
     x = rng.normal(size=x_shape).astype(np.float32)
     w = rng.normal(size=w_shape).astype(np.float32)
     gy = rng.normal(size=(x_shape[0], w_shape[0]) + x_shape[2:]).astype(np.float32)
-    attrs = {"padding": 1}
+    attrs = {"stride": 1, "padding": 1}
     assert _tile("images", 1, x_shape, w_shape, 1, 1, 4) > COLUMN_BYTES
-
-    def run(tile):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(primitives, "COLUMN_BYTES", tile)
-            y, ctx = _REGISTRY["conv2d"].forward([x, w], attrs)
-            return (y,) + _REGISTRY["conv2d"].backward([x, w], attrs, ctx, gy, (True, True))
-
-    whole = run(_tile("images", 1, x_shape, w_shape, 1, 1, 4))
-    if split == "default":
-        checked, got = (0, 1, 2), run(COLUMN_BYTES)
-    else:  # a tiny tile also splits grad_w into GEMMs that BLAS may round differently
-        checked, got = (0,) if split == "rows" else (1,), run(_tile(split, units, x_shape, w_shape, 1, 1, 4))
-    for i in checked:
-        assert got[i].tobytes() == whole[i].tobytes()
+    tile = COLUMN_BYTES if split == "default" else _tile(split, units, x_shape, w_shape, 1, 1, 4)
+    for got, whole in zip(_conv2d_under(x, w, gy, attrs, tile), _conv2d_under(x, w, gy, attrs, UNSPLIT)):
+        assert got.tobytes() == whole.tobytes()
 
 
 # ---------------------------------------------------------------------------
-# memory: every im2col buffer stays within the column tile
+# memory: the im2col buffers stay within the column tile, grad_w's within
+# what grad_x will hold
 
 # The padded image or channel slice and the (B*Ho*Wo, O) copy of the upstream
 # gradient that grad_w holds next to its columns take about 6 MB at the shape below.
@@ -306,9 +367,9 @@ def test_conv_forward_scratch_stays_within_three_tiles():
 
 
 def test_conv_backward_frees_the_weight_columns_before_the_input_gradient():
-    """At the fuse shape, grad_w's column tile is freed before grad_x exists,
+    """At the fuse shape, grad_w's columns are freed before grad_x exists,
     and the subnormal flush tests the gradients block by block: the backward
-    peaks at 26.21 MB (42.25 MB with 32 MB tiles and a full-size flush)."""
+    peaks at 25.46 MB (42.25 MB with 32 MB tiles and a full-size flush)."""
     x, w, gy, attrs = _fuse_case()
     _, ctx = _REGISTRY["conv2d"].forward([x, w], attrs)
     tracemalloc.start()
