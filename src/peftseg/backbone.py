@@ -4,9 +4,10 @@ The patch embedding stores one kernel slab per spectral band, so any subset
 of the configured bands embeds without weight surgery: a missing band simply
 contributes nothing, which after per-band normalization equals feeding the
 band's mean value. Features are tapped at four layers (defaulting to the
-quarter points of the depth) for hierarchical decoders. Dense tasks only, so
-there is no class token; the forward reads the prompt blocks and adapter
-injection hooks of a PEFT attachment when one is installed.
+quarter points of the depth) for hierarchical decoders; other readers get
+the final layer alone. Dense tasks only, so there is no class token; the
+forward reads the prompt blocks and adapter injection hooks of a PEFT
+attachment when one is installed.
 """
 
 from __future__ import annotations
@@ -171,9 +172,16 @@ class TransformerBlock(Module):
         """Run the block on (B, n, d) rows. The first ``kv_rows`` rows only
         supply keys and values: no query, output projection or MLP runs on
         them, and the block returns the other n - kv_rows rows."""
-        b, n, d = x.shape
+        n = x.shape[1]
         if not 0 <= kv_rows < n:
             raise ShapeError(f"block: {kv_rows} key/value-only rows outside [0, {n})")
+        x = self._attention_half(x, kv_rows)
+        return F.add(x, self.mlp["fc2"](F.gelu(self.mlp["fc1"](self.ln2(x)))))
+
+    def _attention_half(self, x: Tensor, kv_rows: int) -> Tensor:
+        """x + attn(LN(x)) on the query rows. Its own frame, so the LN output,
+        q, k, v and the context are freed before the MLP runs."""
+        b, n, d = x.shape
         m = n - kv_rows
         h = self.ln1(x)
         rows = (None, (kv_rows, n), None)
@@ -184,9 +192,7 @@ class TransformerBlock(Module):
         ctx = F.reshape(F.transpose(ctx, (0, 2, 1, 3)), (b, m, d))
         if kv_rows:
             x = F.slice_ranges(x, rows)
-        x = F.add(x, self.attn["o"](ctx))
-        h2 = self.ln2(x)
-        return F.add(x, self.mlp["fc2"](F.gelu(self.mlp["fc1"](h2))))
+        return F.add(x, self.attn["o"](ctx))
 
 
 class ViTBackbone(Module):
@@ -238,8 +244,11 @@ class ViTBackbone(Module):
 
     # -- encoder ------------------------------------------------------------
 
-    def forward_features(self, tokens: Tensor, adapter_tokens=None) -> list[Tensor]:
-        """Run the transformer and return the four tapped feature maps.
+    def forward_features(self, tokens: Tensor, adapter_tokens=None,
+                         pyramid: bool = True) -> list[Tensor]:
+        """Run the transformer and return its tapped feature maps: the four at
+        ``cfg.tap_layers``, or with ``pyramid`` off the final layer's alone, so
+        no earlier layer's output outlives the next block.
 
         Each tap is reshaped to (.., H/p, W/p, d). The rows of the attached
         VPT's prompt block, one (P, d) block per layer, only supply keys and
@@ -257,6 +266,7 @@ class ViTBackbone(Module):
         if self.vpt is not None and self.adapter is not None:
             raise ShapeError("prompt blocks and adapter injection cannot be combined")
 
+        tap_layers = cfg.tap_layers if pyramid else (cfg.depth,)
         taps = []
         for layer, block in enumerate(self.blocks, start=1):
             if self.adapter is not None and adapter_tokens is not None \
@@ -270,7 +280,7 @@ class ViTBackbone(Module):
                 x = block(F.concat([block_prompts, x], axis=1), kv_rows=n_p)
             else:
                 x = block(x)
-            if layer in cfg.tap_layers:
+            if layer in tap_layers:
                 taps.append(F.reshape(x, (b, gh, gw, d)))
 
         if squeeze:
@@ -278,13 +288,16 @@ class ViTBackbone(Module):
         return taps
 
     def encode(self, images, bands: Sequence[str] | None = None,
-               meta: dict | None = None) -> tuple[list[Tensor], Tensor | None]:
+               meta: dict | None = None,
+               pyramid: bool = True) -> tuple[list[Tensor], Tensor | None]:
         """Encode a (C,H,W) image or (B,C,H,W) batch: patch tokens plus the
         metadata vector, the adapter stem, then the transformer.
 
-        Returns the four batched tap maps and the adapter tokens (None without
-        an adapter). ``meta`` holds ``lat``, ``lon``, ``day_of_year`` and
-        ``year`` per image and is ignored when metadata is disabled.
+        Returns the batched tap maps (the four taps, or the final one alone
+        with ``pyramid`` off; see ``forward_features``) and the adapter tokens
+        (None without an adapter). ``meta`` holds ``lat``, ``lon``,
+        ``day_of_year`` and ``year`` per image and is ignored when metadata is
+        disabled.
         """
         x = images if isinstance(images, Tensor) else Tensor(np.asarray(images, dtype=np.float32))
         if x.ndim == 3:
@@ -294,14 +307,14 @@ class ViTBackbone(Module):
             vec = self.meta(meta["lat"], meta["lon"], meta["day_of_year"], meta["year"])
             tokens = F.add(tokens, F.reshape(vec, (vec.shape[0], 1, vec.shape[1])))
         adapter_tokens = self.adapter.stem_tokens(x) if self.adapter is not None else None
-        return self.forward_features(tokens, adapter_tokens=adapter_tokens), adapter_tokens
+        return self.forward_features(tokens, adapter_tokens, pyramid), adapter_tokens
 
     def image_embedding(self, image, bands: Sequence[str] | None = None,
                         meta: dict | None = None) -> np.ndarray:
         """Arithmetic mean of the final-layer patch tokens, one d-vector per image."""
         x = image if isinstance(image, Tensor) else Tensor(np.asarray(image, dtype=np.float32))
         with no_grad():
-            final = self.encode(x, bands, meta)[0][-1]
+            final = self.encode(x, bands, meta, pyramid=False)[0][-1]
             b, gh, gw, d = final.shape
             emb = F.mean(F.reshape(final, (b, gh * gw, d)), axes=(1,))
         out = np.array(emb.data, copy=True)

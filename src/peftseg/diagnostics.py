@@ -25,7 +25,7 @@ from .errors import DataError
 from .model import SegmentationModel, build_model
 from .peft import (EXTRACTOR, METHODS, POLICIES, LoraConfig, VitAdapterConfig, VptConfig,
                    attachment_config, head_trains, normalize_policy)
-from .training import assemble_batch, batches, load_split
+from .training import SplitView, assemble_batch, batches
 
 EMBED_BATCH = 32  # images per embedding forward
 
@@ -36,13 +36,20 @@ EMBED_BATCH = 32  # images per embedding forward
 
 def split_embeddings(model: SegmentationModel, manifest: DatasetManifest, split: str,
                      bands=None) -> tuple[list[str], list[str], np.ndarray]:
-    """Image embeddings for one split: (sample_ids, regions, (n, d) matrix)."""
-    samples = load_split(manifest, split, bands, model.backbone.cfg.image_size)
-    rows = []
+    """Image embeddings for one split: (sample_ids, regions, (n, d) matrix).
+
+    The split is read through a ``SplitView``, ``EMBED_BATCH`` samples at a
+    time, and a batch's samples are dropped once stacked, so memory does not
+    grow with the split beyond the embedding rows."""
+    samples = SplitView(manifest, split, bands, model.backbone.cfg.image_size)
+    regions, rows = [], []
     for idx in batches(list(range(len(samples))), EMBED_BATCH):
-        images, _, meta, batch_bands = assemble_batch(samples, idx)
+        batch = [samples[i] for i in idx]
+        regions += [s.region for s in batch]
+        images, _, meta, batch_bands = assemble_batch(batch, range(len(batch)))
+        del batch  # the forward reads only the stacked images
         rows.append(model.backbone.image_embedding(images, batch_bands, meta).astype(np.float64))
-    return [s.sample_id for s in samples], [s.region for s in samples], np.concatenate(rows)
+    return samples.ids, regions, np.concatenate(rows)
 
 
 def export_embeddings(model: SegmentationModel, manifest: DatasetManifest, split: str,

@@ -36,11 +36,13 @@ class SegmentationModel(Module):
     def encode(self, images, bands=None, meta=None) -> list[Tensor]:
         """The encoder outputs the head reads: the final tap for a single-scale
         head, the four taps for a pyramid head, and the final tap plus the
-        adapter tokens for a pyramid head over a ViT-Adapter."""
-        taps, adapter_tokens = self.backbone.encode(images, bands, meta)
-        if not self.decoder_cfg.needs_pyramid:
-            return taps[-1:]
-        if self.backbone.adapter is not None:
+        adapter tokens for a pyramid head over a ViT-Adapter. The encoder
+        builds the four taps only for the second."""
+        needs_pyramid = self.decoder_cfg.needs_pyramid
+        adapter = self.backbone.adapter is not None
+        taps, adapter_tokens = self.backbone.encode(images, bands, meta,
+                                                    pyramid=needs_pyramid and not adapter)
+        if needs_pyramid and adapter:
             return [taps[-1], adapter_tokens]
         return taps
 

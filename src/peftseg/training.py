@@ -164,20 +164,37 @@ def write_history_csv(history: list[dict], path) -> None:
                              *(f"{row[c]:.10g}" for c in HISTORY_COLUMNS[1:])])
 
 
+class SplitView:
+    """A split's samples, read when indexed: each read loads one sample,
+    normalizes it, cuts it to ``bands`` (None keeps all) and reflect-pads it
+    to ``pad_to``. Nothing is kept, so a pass holds only what its caller does."""
+
+    def __init__(self, manifest: DatasetManifest, split: str, bands, pad_to):
+        self.ids = manifest.split_ids(split)
+        if not self.ids:
+            raise DataError(f"split {split!r} is empty")
+        self.manifest = manifest
+        self.bands = None if bands is None else tuple(bands)
+        self.pad_to = tuple(pad_to)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i: int):
+        sample = normalize(self.manifest.load_sample(self.ids[i]), self.manifest.band_stats)
+        if self.bands is not None and self.bands != sample.bands:
+            sample = subset_bands(sample, self.bands)
+        if sample.mask.shape != self.pad_to:
+            sample = reflect_pad_to(sample, self.pad_to)
+        return sample
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
 def load_split(manifest: DatasetManifest, split: str, bands, pad_to) -> list:
-    """Every sample of a split, normalized, cut to ``bands`` (None keeps all)
-    and reflect-padded to ``pad_to``."""
-    samples = []
-    for sid in manifest.split_ids(split):
-        sample = normalize(manifest.load_sample(sid), manifest.band_stats)
-        if bands is not None and tuple(bands) != sample.bands:
-            sample = subset_bands(sample, bands)
-        if sample.mask.shape != tuple(pad_to):
-            sample = reflect_pad_to(sample, pad_to)
-        samples.append(sample)
-    if not samples:
-        raise DataError(f"split {split!r} is empty")
-    return samples
+    """Every sample of a split, read now: the ``SplitView`` listed."""
+    return list(SplitView(manifest, split, bands, pad_to))
 
 
 def batches(indices, batch_size):
@@ -192,7 +209,7 @@ def assemble_batch(samples, idx):
     if len(band_orders) != 1:
         raise DataError(f"batch mixes band orders {sorted(band_orders)}")
     images = np.stack([s.image for s in batch])
-    masks = np.stack([s.mask for s in batch]).astype(np.int64)
+    masks = np.stack([s.mask for s in batch])  # the samples' own integer dtype
     meta = {key: np.array([getattr(s, key) for s in batch])
             for key in ("lat", "lon", "day_of_year", "year")}
     return images, masks, meta, band_orders.pop()
@@ -229,19 +246,27 @@ def _batch_loss(model: SegmentationModel, samples, features, idx, training: bool
     return logits, masks, loss, n_valid
 
 
+def _eval_batch(model: SegmentationModel, samples, features, idx, cm: ConfusionMatrix):
+    """Count one batch into ``cm`` and return its (loss, n_valid); the batch's
+    logits, masks and predictions die with this frame."""
+    logits, masks, loss, n_valid = _batch_loss(model, samples, features, idx, False)
+    cm.update(masks, logits.data.argmax(axis=1), ignore_index=IGNORE_INDEX)
+    return loss, n_valid
+
+
 def _eval_pass(model: SegmentationModel, samples, batch_size: int, num_classes: int,
                features=None) -> tuple[float, ConfusionMatrix]:
+    """(mean loss, confusion matrix) of one forward-only pass over ``samples``,
+    a list or a ``SplitView``, one batch alive at a time."""
     cm = ConfusionMatrix(num_classes)
     loss_total = 0.0
     weight_total = 0
     with no_grad():
         for idx in batches(list(range(len(samples))), batch_size):
-            logits, masks, loss, n_valid = _batch_loss(model, samples, features, idx, False)
+            loss, n_valid = _eval_batch(model, samples, features, idx, cm)
             if loss is not None:
                 loss_total += loss.item() * n_valid
                 weight_total += n_valid
-            pred = logits.data.argmax(axis=1)
-            cm.update(masks, pred, ignore_index=IGNORE_INDEX)
     return loss_total / max(weight_total, 1), cm
 
 
@@ -258,11 +283,12 @@ def _metrics(loss: float, cm: ConfusionMatrix) -> dict:
 
 def evaluate(model: SegmentationModel, manifest: DatasetManifest, split: str,
              batch_size: int = 8, bands=None) -> dict:
-    """Confusion-matrix metrics over a whole split."""
-    samples = load_split(manifest, split, bands, model.backbone.cfg.image_size)
+    """Confusion-matrix metrics over a whole split, read one batch at a time
+    through a ``SplitView``, so memory does not grow with the split."""
     if model.decoder_cfg.num_classes != manifest.num_classes:
         raise ConfigError(f"model has {model.decoder_cfg.num_classes} classes, "
                           f"dataset has {manifest.num_classes}")
+    samples = SplitView(manifest, split, bands, model.backbone.cfg.image_size)
     return _metrics(*_eval_pass(model, samples, batch_size, manifest.num_classes))
 
 

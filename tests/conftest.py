@@ -3,6 +3,7 @@ session-cached training runs reused by the learning/generalization tests."""
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -50,6 +51,30 @@ def desk_manifest(tmp_path_factory, desk_synth_cfg):
 @pytest.fixture(scope="session")
 def desk_backbone() -> BackboneConfig:
     return tiny_backbone()
+
+
+@pytest.fixture(scope="session")
+def stream_manifest(tmp_path_factory):
+    """At least 128 six-band 32x32 samples; tests cut splits from it with ``with_split``."""
+    cfg = SyntheticConfig(regions=("p", "q"), samples_per_region=128, ghos_samples=0,
+                          extent=32, seed=5)
+    return generate_synthetic(cfg, tmp_path_factory.mktemp("stream_dataset"))
+
+
+def with_split(manifest, split: str, n: int):
+    """A copy of ``manifest`` whose only split is ``split``: its first ``n`` samples."""
+    return replace(manifest, splits={info.sample_id: split for info in manifest.samples[:n]})
+
+
+def traced_peak(fn) -> int:
+    """tracemalloc peak bytes of one ``fn()`` call, after a warm-up call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def desk_run_config(manifest, backbone, method, seed) -> RunConfig:

@@ -287,3 +287,78 @@ def test_primitive_rejects_a_non_tensor_input():
     a = Tensor(np.ones(3, dtype=np.float32))
     with pytest.raises(InputTypeError, match="add: input 1 is a ndarray"):
         F.add(a, np.ones(3, dtype=np.float32))
+
+
+# -- tap selection: the encoder builds only the taps the head reads ------------
+
+
+def _head_inputs_from_all_taps(model, images):
+    """What the head reads, cut from the full four-tap ``backbone.encode``."""
+    taps, adapter_tokens = model.backbone.encode(images)
+    if not model.decoder_cfg.needs_pyramid:
+        return taps[-1:]
+    if adapter_tokens is not None:
+        return [taps[-1], adapter_tokens]
+    return taps
+
+
+@pytest.mark.parametrize("kind", ["linear", "unet", "upernet"])
+@pytest.mark.parametrize("method", ["full_finetune", "vit_adapter"])
+def test_tap_selection_changes_no_bits(kind, method):
+    """Logits, one step's parameter gradients and the image embedding equal
+    those computed from all four taps, bit for bit."""
+    from peftseg.autodiff import functional as F
+    model = build_model(tiny_backbone(image=(32, 32)), DecoderConfig(kind, 2), method, seed=4,
+                        adapter_cfg=VitAdapterConfig(channels=(16, 16, 16)))
+    rng = np.random.default_rng(4)
+    if model.backbone.adapter is not None:  # zero at init; training moves them
+        for injector in model.backbone.adapter.inject.values():
+            injector.out.weight.data[:] = rng.normal(scale=0.05, size=injector.out.weight.shape)
+    images = rng.normal(size=(3, 6, 32, 32)).astype(np.float32)
+    masks = rng.integers(0, 2, size=(3, 32, 32)).astype(np.uint8)
+
+    with no_grad():
+        logits = model.forward(images).data
+        expected = model.head(_head_inputs_from_all_taps(model, images)).data
+    assert np.array_equal(logits, expected)
+
+    def step_grads(logits_of):
+        params = dict(model.trainable_parameters())
+        for t in params.values():
+            t.grad = None
+        backward(F.cross_entropy(logits_of(), masks))
+        return {name: t.grad for name, t in params.items()}
+
+    grads = step_grads(lambda: model.forward(images, training=True))
+    expected = step_grads(lambda: model.head(_head_inputs_from_all_taps(model, images), True))
+    assert grads.keys() == expected.keys()
+    assert all((grads[n] is None and expected[n] is None) or np.array_equal(grads[n], expected[n])
+               for n in grads)
+    assert any(g is not None for g in grads.values())
+
+    with no_grad():
+        final = model.backbone.encode(images)[0][-1]
+        mean = F.mean(F.reshape(final, (3, 16, 64)), axes=(1,)).data
+    assert np.array_equal(model.backbone.image_embedding(images), mean)
+
+
+def test_encoder_builds_only_the_taps_the_caller_reads(monkeypatch):
+    """Four taps for a pyramid head without an adapter; the final tap alone
+    for a single-scale head, a ViT-Adapter pyramid head and an embedding."""
+    built, real = [], ViTBackbone.forward_features
+
+    def recording(self, *args, **kwargs):
+        taps = real(self, *args, **kwargs)
+        built.append(len(taps))
+        return taps
+
+    monkeypatch.setattr(ViTBackbone, "forward_features", recording)
+    image = np.zeros((1, 6, 32, 32), np.float32)
+    for kind, method in (("linear", "lora"), ("linear", "vit_adapter"),
+                         ("unet", "vit_adapter"), ("unet", "lora")):
+        model = build_model(tiny_backbone(image=(32, 32)), DecoderConfig(kind, 2), method,
+                            adapter_cfg=VitAdapterConfig(channels=(16, 16, 16)))
+        with no_grad():
+            model.forward(image)
+        model.backbone.image_embedding(image)
+    assert built == [1, 1, 1, 1, 1, 1, 4, 1]

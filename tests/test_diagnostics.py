@@ -8,7 +8,7 @@ import pytest
 from peftseg.backbone import ViTBackbone
 from peftseg.data import normalize
 from peftseg.decoders import DecoderConfig
-from peftseg.diagnostics import (adapter_param_count, distance_report,
+from peftseg.diagnostics import (EMBED_BATCH, adapter_param_count, distance_report,
                                  encoder_param_count, export_embeddings, head_param_counts,
                                  lora_param_count, min_distances_to_train,
                                  parameter_memory_report, peft_param_count,
@@ -19,7 +19,7 @@ from peftseg.model import build_model
 from peftseg.peft import (POLICIES, LoraConfig, VitAdapterConfig, VptConfig, apply_freeze_policy,
                           count_parameters, policy_trains)
 
-from conftest import TINY_ADAPTER, tiny_backbone
+from conftest import TINY_ADAPTER, tiny_backbone, traced_peak, with_split
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +59,16 @@ def test_split_embeddings_match_single_image_path(desk_manifest, desk_backbone):
         sample = normalize(desk_manifest.load_sample(sid), desk_manifest.band_stats)
         assert region == sample.region
         np.testing.assert_array_equal(row, model.backbone.image_embedding(sample.image))
+
+
+def test_split_embeddings_memory_does_not_grow_with_the_split(stream_manifest):
+    """Four embedding batches peak less than one batch of images above one
+    batch: the split is read a batch at a time and only the rows are kept."""
+    model = build_model(tiny_backbone(image=(32, 32)), DecoderConfig("linear", 2), "lora")
+    one, four = (with_split(stream_manifest, "val", n) for n in (EMBED_BATCH, 4 * EMBED_BATCH))
+    growth = (traced_peak(lambda: split_embeddings(model, four, "val"))
+              - traced_peak(lambda: split_embeddings(model, one, "val")))
+    assert growth < EMBED_BATCH * 6 * 32 * 32 * 4
 
 
 def test_constant_image_embedding_matches_direct_path(desk_backbone):

@@ -15,7 +15,7 @@ from peftseg.training import (AdamW, EarlyStopping, ReduceOnPlateau, RunConfig,
                               aggregate_values, assemble_batch, evaluate, lr_search,
                               run_replicates, train, write_history_csv)
 
-from conftest import tiny_backbone
+from conftest import tiny_backbone, traced_peak, with_split
 
 
 @pytest.fixture(scope="module")
@@ -474,6 +474,55 @@ def test_class_count_mismatch_rejected(mini_manifest):
     cfg = replace(cfg, decoder=DecoderConfig("linear", 5))
     with pytest.raises(ConfigError):
         train(cfg)
+
+
+def test_evaluate_checks_the_class_count_before_reading_a_sample(mini_manifest, monkeypatch):
+    from peftseg.data import DatasetManifest
+    reads, real_load = [], DatasetManifest.load_sample
+
+    def counting(self, sample_id):
+        reads.append(sample_id)
+        return real_load(self, sample_id)
+
+    monkeypatch.setattr(DatasetManifest, "load_sample", counting)
+    model = build_model(tiny_backbone(image=(32, 32)), DecoderConfig("linear", 5), "linear_probe")
+    with pytest.raises(ConfigError, match="5 classes"):
+        evaluate(model, mini_manifest, "val")
+    assert reads == []
+
+
+def test_evaluate_names_an_empty_split_and_a_corrupt_sample(mini_manifest, tmp_path):
+    import copy
+    model = build_model(tiny_backbone(image=(32, 32)), DecoderConfig("linear", 2), "linear_probe")
+    with pytest.raises(DataError, match="split 'test' is empty"):
+        evaluate(model, with_split(mini_manifest, "val", 4), "test")
+    manifest = copy.copy(mini_manifest)
+    manifest.root = tmp_path
+    for info in mini_manifest.samples:
+        manifest.save_sample(mini_manifest.load_sample(info.sample_id))
+    bad = mini_manifest.split_ids("test")[-1]
+    img_path = manifest._paths(bad)[0]
+    img_path.write_bytes(img_path.read_bytes()[:-4])
+    with pytest.raises(DataError, match=repr(bad)):
+        evaluate(model, manifest, "test", batch_size=2)
+
+
+def test_evaluate_memory_does_not_grow_with_the_split(stream_manifest):
+    """Four batches peak less than one batch of images above one batch: the
+    split is read a batch at a time, and each batch's arrays are freed before
+    the next batch loads."""
+    model = build_model(tiny_backbone(image=(32, 32)), DecoderConfig("linear", 2), "lora")
+    batch = 8
+    one, four = (with_split(stream_manifest, "test", n) for n in (batch, 4 * batch))
+    growth = (traced_peak(lambda: evaluate(model, four, "test", batch))
+              - traced_peak(lambda: evaluate(model, one, "test", batch)))
+    assert growth < batch * 6 * 32 * 32 * 4
+
+
+def test_masks_keep_the_samples_dtype(mini_manifest):
+    from peftseg.training import load_split
+    samples = load_split(mini_manifest, "val", None, (32, 32))
+    assert assemble_batch(samples, [0, 1])[1].dtype == np.uint8
 
 
 def test_invalid_run_config_values():
