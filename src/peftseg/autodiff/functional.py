@@ -4,7 +4,10 @@ Attention and the segmentation loss are compositions of primitives rather
 than fused kernels; every edge they create carries a registered backward
 rule, so gradient checking covers them for free. Attention hands its 1/sqrt(d)
 scale to ``softmax`` as its ``alpha``, which saves a (..., T, T) array and a
-tape node per call and gives the bytes of a separate ``scale``.
+tape node per call and gives the bytes of a separate ``scale``. A linear
+layer is one ``matmul`` node: the bias, and any addend such as a LoRA
+layer's base output, are trailing inputs that the node adds into its own
+output in place, with the bits and the gradients of separate ``add`` nodes.
 """
 
 from __future__ import annotations
@@ -36,8 +39,9 @@ def scale(a: Tensor, alpha: float) -> Tensor:
     return apply_primitive("scale", [a], {"alpha": float(alpha)})
 
 
-def matmul(a: Tensor, b: Tensor, transpose_b: bool = False) -> Tensor:
-    return apply_primitive("matmul", [a, b], {"transpose_b": transpose_b})
+def matmul(a: Tensor, b: Tensor, *addends: Tensor, transpose_b: bool = False) -> Tensor:
+    """a @ b (a @ b^T with ``transpose_b``) plus each addend, in order, in one node."""
+    return apply_primitive("matmul", [a, b, *addends], {"transpose_b": transpose_b})
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -138,19 +142,18 @@ def dropout(x: Tensor, p: float, seed: int) -> Tensor:
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Affine map with a (d_out, d_in) weight: x @ W^T + b."""
-    y = matmul(x, weight, transpose_b=True)
-    if bias is not None:
-        y = add(y, bias)
-    return y
+    """Affine map with a (d_out, d_in) weight: x @ W^T + b, one ``matmul`` node."""
+    addends = () if bias is None else (bias,)
+    return matmul(x, weight, *addends, transpose_b=True)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """Scaled dot-product attention over (..., T, head_dim) operands."""
     if q.shape[-1] != k.shape[-1]:
         raise ShapeError(f"attention: head dims differ ({q.shape} vs {k.shape})")
-    scores = matmul(q, k, transpose_b=True)
-    return matmul(softmax(scores, axis=-1, alpha=1.0 / np.sqrt(q.shape[-1])), v)
+    # the scores are a temporary, so they are freed once the softmax has read them
+    probs = softmax(matmul(q, k, transpose_b=True), axis=-1, alpha=1.0 / np.sqrt(q.shape[-1]))
+    return matmul(probs, v)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_index: int = 255) -> Tensor:

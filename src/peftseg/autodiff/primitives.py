@@ -45,8 +45,9 @@ def _reads_none(needs):
 
 
 def _reads_other(needs):
-    """A bilinear rule reads each input only for the other input's gradient."""
-    return needs[1], needs[0]
+    """A bilinear rule reads each of its two factors only for the other's
+    gradient, and never a trailing addend (``matmul``'s)."""
+    return (needs[1], needs[0]) + (False,) * (len(needs) - 2)
 
 
 def _reads_gamma(needs):
@@ -301,19 +302,31 @@ def _mean_bwd(datas, attrs, ctx, g, needs):
 
 
 def _matmul_fwd(datas, attrs):
-    a, b = datas
+    """a @ b (or a @ b^T), plus each trailing addend in input order, added in
+    place: ``out += addend`` gives the bits of an ``add`` node without its
+    second full-size output."""
+    a, b = datas[:2]
     if a.ndim < 2 or b.ndim < 2:
         raise _shape_err("matmul", "operands must have rank >= 2", a.shape, b.shape)
     if attrs.get("transpose_b", False):
         b = np.swapaxes(b, -1, -2)
     try:
-        return np.matmul(a, b), None
+        out = np.matmul(a, b)
     except ValueError:
         raise _shape_err("matmul", "inner or batch dimensions mismatch", a.shape, datas[1].shape)
+    for addend in datas[2:]:
+        dtype = np.result_type(out, addend)
+        if dtype != out.dtype:
+            out = out.astype(dtype)
+        try:
+            out += addend
+        except ValueError:
+            raise _shape_err("matmul", "addend does not broadcast to the product", out.shape, addend.shape)
+    return out, None
 
 
 def _matmul_bwd(datas, attrs, ctx, g, needs):
-    a, b = datas
+    a, b = datas[:2]
     tb = attrs.get("transpose_b", False)
     ga = gb = None
     if needs[0]:
@@ -324,7 +337,9 @@ def _matmul_bwd(datas, attrs, ctx, g, needs):
             gb = _unbroadcast(np.matmul(np.swapaxes(g, -1, -2), a), b.shape)
         else:
             gb = _unbroadcast(np.matmul(np.swapaxes(a, -1, -2), g), b.shape)
-    return ga, gb
+    # an addend's gradient is ``add``'s rule
+    return (ga, gb) + tuple(_unbroadcast(g, d.shape) if need else None
+                            for d, need in zip(datas[2:], needs[2:]))
 
 
 # ---------------------------------------------------------------------------

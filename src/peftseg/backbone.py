@@ -287,17 +287,17 @@ class ViTBackbone(Module):
             taps = [F.reshape(t, t.shape[1:]) for t in taps]
         return taps
 
-    def encode(self, images, bands: Sequence[str] | None = None,
-               meta: dict | None = None,
-               pyramid: bool = True) -> tuple[list[Tensor], Tensor | None]:
-        """Encode a (C,H,W) image or (B,C,H,W) batch: patch tokens plus the
-        metadata vector, the adapter stem, then the transformer.
+    def stem(self, images, bands: Sequence[str] | None = None,
+             meta: dict | None = None) -> tuple[Tensor, Tensor | None]:
+        """What the transformer reads of a (C,H,W) image or (B,C,H,W) batch:
+        the patch tokens plus the metadata vector, and the adapter stem's
+        tokens (None without an adapter).
 
-        Returns the batched tap maps (the four taps, or the final one alone
-        with ``pyramid`` off; see ``forward_features``) and the adapter tokens
-        (None without an adapter). ``meta`` holds ``lat``, ``lon``,
-        ``day_of_year`` and ``year`` per image and is ignored when metadata is
-        disabled.
+        ``meta`` holds ``lat``, ``lon``, ``day_of_year`` and ``year`` per image
+        and is ignored when metadata is disabled. Under ``no_grad`` nothing
+        returned holds the images, so a caller that passed them as a
+        temporary, or drops its own name to them, frees the batch before the
+        transformer runs.
         """
         x = images if isinstance(images, Tensor) else Tensor(np.asarray(images, dtype=np.float32))
         if x.ndim == 3:
@@ -307,15 +307,31 @@ class ViTBackbone(Module):
             vec = self.meta(meta["lat"], meta["lon"], meta["day_of_year"], meta["year"])
             tokens = F.add(tokens, F.reshape(vec, (vec.shape[0], 1, vec.shape[1])))
         adapter_tokens = self.adapter.stem_tokens(x) if self.adapter is not None else None
+        return tokens, adapter_tokens
+
+    def encode(self, images, bands: Sequence[str] | None = None,
+               meta: dict | None = None,
+               pyramid: bool = True) -> tuple[list[Tensor], Tensor | None]:
+        """Encode a (C,H,W) image or (B,C,H,W) batch: ``stem``, then the
+        transformer.
+
+        Returns the batched tap maps (the four taps, or the final one alone
+        with ``pyramid`` off; see ``forward_features``) and the adapter tokens
+        (None without an adapter).
+        """
+        tokens, adapter_tokens = self.stem(images, bands, meta)
+        del images  # freed here when the caller passed a temporary
         return self.forward_features(tokens, adapter_tokens, pyramid), adapter_tokens
 
     def image_embedding(self, image, bands: Sequence[str] | None = None,
                         meta: dict | None = None) -> np.ndarray:
         """Arithmetic mean of the final-layer patch tokens, one d-vector per image."""
-        x = image if isinstance(image, Tensor) else Tensor(np.asarray(image, dtype=np.float32))
+        single = np.ndim(image) == 3
         with no_grad():
-            final = self.encode(x, bands, meta, pyramid=False)[0][-1]
+            stem = self.stem(image, bands, meta)
+            del image  # freed here when the caller passed a temporary
+            final = self.forward_features(*stem, pyramid=False)[-1]
             b, gh, gw, d = final.shape
             emb = F.mean(F.reshape(final, (b, gh * gw, d)), axes=(1,))
         out = np.array(emb.data, copy=True)
-        return out[0] if x.ndim == 3 else out
+        return out[0] if single else out

@@ -46,9 +46,11 @@ def split_embeddings(model: SegmentationModel, manifest: DatasetManifest, split:
     for idx in batches(list(range(len(samples))), EMBED_BATCH):
         batch = [samples[i] for i in idx]
         regions += [s.region for s in batch]
-        images, _, meta, batch_bands = assemble_batch(batch, range(len(batch)))
+        stacked = assemble_batch(batch, range(len(batch)))
         del batch  # the forward reads only the stacked images
-        rows.append(model.backbone.image_embedding(images, batch_bands, meta).astype(np.float64))
+        _, meta, batch_bands = stacked[1:]
+        rows.append(model.backbone.image_embedding(stacked.pop(0), batch_bands, meta)
+                    .astype(np.float64))
     return samples.ids, regions, np.concatenate(rows)
 
 

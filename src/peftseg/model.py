@@ -31,18 +31,25 @@ class SegmentationModel(Module):
 
     def forward(self, images, bands=None, meta=None, training: bool = False) -> Tensor:
         """Per-pixel class logits (B, K, H, W) for a normalized image batch."""
-        return self.head(self.encode(images, bands, meta), training)
+        stem = self.backbone.stem(images, bands, meta)
+        del images  # freed here when the caller passed a temporary
+        return self.head(self._transformer(*stem), training)
 
     def encode(self, images, bands=None, meta=None) -> list[Tensor]:
         """The encoder outputs the head reads: the final tap for a single-scale
         head, the four taps for a pyramid head, and the final tap plus the
-        adapter tokens for a pyramid head over a ViT-Adapter. The encoder
-        builds the four taps only for the second."""
+        adapter tokens for a pyramid head over a ViT-Adapter."""
+        stem = self.backbone.stem(images, bands, meta)
+        del images  # freed here when the caller passed a temporary
+        return self._transformer(*stem)
+
+    def _transformer(self, tokens: Tensor, adapter_tokens: Tensor | None) -> list[Tensor]:
+        """``encode`` after the stem. The encoder builds the four taps only for
+        a pyramid head without an adapter."""
         needs_pyramid = self.decoder_cfg.needs_pyramid
-        adapter = self.backbone.adapter is not None
-        taps, adapter_tokens = self.backbone.encode(images, bands, meta,
-                                                    pyramid=needs_pyramid and not adapter)
-        if needs_pyramid and adapter:
+        taps = self.backbone.forward_features(tokens, adapter_tokens,
+                                              pyramid=needs_pyramid and adapter_tokens is None)
+        if needs_pyramid and adapter_tokens is not None:
             return [taps[-1], adapter_tokens]
         return taps
 

@@ -15,6 +15,7 @@ from typing import Iterator
 import numpy as np
 
 from .autodiff import Tensor, functional as F
+from .errors import ShapeError
 
 BN_MOMENTUM = 0.1  # weight of the batch statistics in a running-stat update
 
@@ -123,6 +124,9 @@ class BatchNormRelu2d(Module):
         self.running_var = np.ones(channels, dtype=np.float32)
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
+        c = self.running_mean.shape[0]
+        if x.ndim != 4 or x.shape[1] != c:  # before the running statistics move
+            raise ShapeError(f"batch norm: input {x.shape} is not (B, {c}, H, W)")
         if training:
             batch_mean = x.data.mean(axis=(0, 2, 3))
             batch_var = x.data.var(axis=(0, 2, 3))

@@ -83,11 +83,12 @@ class LoraLinear(Module):
         self.scaling = scaling
 
     def __call__(self, x: Tensor) -> Tensor:
+        # the base matmul runs first: x's gradient sums its terms in reverse node order
         y = self.base(x)
-        delta = F.matmul(F.matmul(x, self.lora_a, transpose_b=True), self.lora_b, transpose_b=True)
-        if self.scaling != 1.0:
-            delta = F.scale(delta, self.scaling)
-        return F.add(y, delta)
+        down = F.matmul(x, self.lora_a, transpose_b=True)
+        if self.scaling == 1.0:  # the up-projection adds y into its own output
+            return F.matmul(down, self.lora_b, y, transpose_b=True)
+        return F.add(y, F.scale(F.matmul(down, self.lora_b, transpose_b=True), self.scaling))
 
     def merged_weight(self) -> np.ndarray:
         return self.base.weight.data + np.float32(self.scaling) * (self.lora_b.data @ self.lora_a.data)

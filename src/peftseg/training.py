@@ -202,8 +202,12 @@ def batches(indices, batch_size):
         yield indices[start:start + batch_size]
 
 
-def assemble_batch(samples, idx):
-    """Stack one batch: (images, masks, metadata arrays, the batch's band order)."""
+def assemble_batch(samples, idx) -> list:
+    """Stack one batch: [images, masks, metadata arrays, the batch's band order].
+
+    A list, so a forward's caller can hand the images on as ``batch.pop(0)``:
+    a temporary argument that the model frees once its stem has run, where a
+    name in the caller's frame would keep the batch alive to the end."""
     batch = [samples[i] for i in idx]
     band_orders = {s.bands for s in batch}
     if len(band_orders) != 1:
@@ -212,7 +216,7 @@ def assemble_batch(samples, idx):
     masks = np.stack([s.mask for s in batch])  # the samples' own integer dtype
     meta = {key: np.array([getattr(s, key) for s in batch])
             for key in ("lat", "lon", "day_of_year", "year")}
-    return images, masks, meta, band_orders.pop()
+    return [images, masks, meta, band_orders.pop()]
 
 
 def _frozen_features(model: SegmentationModel, samples, batch_size: int) -> list | None:
@@ -227,8 +231,9 @@ def _frozen_features(model: SegmentationModel, samples, batch_size: int) -> list
     chunks = []
     with no_grad():
         for idx in batches(list(range(len(samples))), batch_size):
-            images, _, meta, bands = assemble_batch(samples, idx)
-            chunks.append([t.data for t in model.encode(images, bands, meta)])
+            batch = assemble_batch(samples, idx)
+            _, meta, bands = batch[1:]
+            chunks.append([t.data for t in model.encode(batch.pop(0), bands, meta)])
     return [np.concatenate(parts) for parts in zip(*chunks)]
 
 
@@ -236,9 +241,10 @@ def _batch_loss(model: SegmentationModel, samples, features, idx, training: bool
     """(logits, masks, loss, n_valid) of one batch: the head on the cached encoder
     output when ``features`` holds it, else the full forward; ``loss`` is the mean
     over the ``n_valid`` labelled pixels, or None when there are none."""
-    images, masks, meta, bands = assemble_batch(samples, idx)  # also rejects mixed band orders
+    batch = assemble_batch(samples, idx)  # also rejects mixed band orders
+    masks, meta, bands = batch[1:]
     if features is None:
-        logits = model.forward(images, bands=bands, meta=meta, training=training)
+        logits = model.forward(batch.pop(0), bands=bands, meta=meta, training=training)
     else:
         logits = model.head([Tensor(a[idx]) for a in features], training)
     n_valid = int((masks != IGNORE_INDEX).sum())

@@ -169,6 +169,15 @@ def _gradcheck_case(op_id: str, rng: np.random.Generator):
         w = pt((4, 3))
         c = pt((2, 3))
         return pt((2, 4)), lambda x: F.sum(F.mul(F.matmul(x, w), c))
+    if op_id == "matmul bias":  # the point is the bias, added inside the matmul node
+        a, w = pt((2, 4)), pt((3, 4))
+        c = pt((2, 3))
+        return pt((3,)), lambda x: F.sum(F.mul(F.matmul(a, w, x, transpose_b=True), c))
+    if op_id == "matmul bias addend":  # the point reaches every input of one node
+        w, w2 = pt((4, 3)), pt((4, 3))
+        c = pt((2, 3))
+        return pt((2, 4)), lambda x: F.sum(F.mul(F.matmul(
+            x, w, F.slice_ranges(F.mean(x, axes=(0,)), ((0, 3),)), F.matmul(x, w2)), c))
     if op_id == "gelu":
         c = pt((8,))
         return pt((8,)), lambda x: F.sum(F.mul(F.gelu(x), c))
@@ -243,7 +252,8 @@ def _gradcheck_case(op_id: str, rng: np.random.Generator):
 
 def test_criterion_3_gradients_and_adjoint():
     worst = {}
-    for op_id in (*registered_primitives(), "softmax alpha", "batch_norm2d relu"):
+    for op_id in (*registered_primitives(), "softmax alpha", "batch_norm2d relu", "matmul bias",
+                  "matmul bias addend"):
         errs = []
         for instance in range(20):
             rng = np.random.default_rng(zlib.crc32(f"{op_id}/{instance}".encode()))

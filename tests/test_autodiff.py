@@ -115,6 +115,25 @@ def test_linear_map_grad_check_machine_precision():
     assert err <= 1e-9
 
 
+def test_linear_keeps_the_bits_of_matmul_then_add():
+    """``F.linear`` adds its bias inside the matmul node: the same forward and
+    gradient bytes as the two-node composition, with one node."""
+    data = [RNG.normal(size=s).astype(np.float32) for s in ((2, 5, 6), (7, 6), (7,), (2, 5, 7))]
+
+    def run(compose):
+        x, w, b = (Tensor(d.copy(), requires_grad=True) for d in data[:3])
+        y = compose(x, w, b)
+        nodes = len(trace(y).nodes)
+        grads = backward(F.sum(F.mul(y, Tensor(data[3]))))
+        return [y.data] + [grads[t] for t in (x, w, b)], nodes
+
+    fused, n_fused = run(F.linear)
+    plain, n_plain = run(lambda x, w, b: F.add(F.matmul(x, w, transpose_b=True), b))
+    assert (n_fused, n_plain) == (1, 2)
+    for got, want in zip(fused, plain):
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
 def test_layer_norm_grad_check_spec_example():
     gamma = t32((8,))
     beta = t32((8,))

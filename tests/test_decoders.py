@@ -10,7 +10,7 @@ from peftseg.decoders import (DecoderConfig, FeaturePyramid, Neck, build_decoder
                               decode)
 from peftseg.errors import ConfigError, ShapeError
 from peftseg.model import build_model
-from peftseg.nn import BN_MOMENTUM
+from peftseg.nn import BN_MOMENTUM, BatchNormRelu2d
 from peftseg.training import AdamW
 
 from conftest import TINY_ADAPTER, tiny_backbone
@@ -197,6 +197,17 @@ def test_upernet_trains_at_batch_one(method):
         optimizer.step()
     logits = model.forward(rng.normal(size=(2, 6, 64, 64)).astype(np.float32), training=False).data
     assert np.isfinite(logits).all() and np.abs(logits).max() < 1e3
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 5, 5), (2, 1, 5, 5), (2, 4, 5)])
+def test_batch_norm_rejects_a_bad_input_before_its_running_stats_move(shape):
+    bn = BatchNormRelu2d(4)
+    bn.running_mean[:] = RNG.normal(size=4)
+    bn.running_var[:] = RNG.uniform(0.5, 2.0, size=4)
+    before = bn.running_mean.tobytes(), bn.running_var.tobytes()
+    with pytest.raises(ShapeError):
+        bn(Tensor(RNG.normal(size=shape).astype(np.float32)), training=True)
+    assert (bn.running_mean.tobytes(), bn.running_var.tobytes()) == before
 
 
 def decoder_params(cfg, embed_dim, patch_size):

@@ -108,6 +108,47 @@ def test_lora_identity_at_attachment():
         assert np.abs(a.data - b.data).max() <= 1e-6
 
 
+@pytest.mark.parametrize("scaling", [1.0, 2.0])
+def test_lora_linear_keeps_the_bits_of_the_separate_sum(scaling):
+    """The up-projection adds the base output inside its matmul node at
+    scaling 1; forward and every gradient keep the bytes of base + delta."""
+    from peftseg.autodiff import Tensor
+    from peftseg.nn import Linear
+    from peftseg.peft import LoraLinear
+    rng = np.random.default_rng(5)
+    x0 = rng.normal(size=(2, 9, 8)).astype(np.float32)
+    c = Tensor(rng.normal(size=(2, 9, 6)).astype(np.float32))
+    cx = Tensor(rng.normal(size=(2, 9, 8)).astype(np.float32))
+    up = rng.normal(size=(6, 3))  # lora_b is zero at attachment
+
+    def run(call):
+        layer = LoraLinear(np.random.default_rng(0), Linear(np.random.default_rng(1), 8, 6),
+                           rank=3, scaling=scaling)
+        layer.lora_b.data[:] = up
+        leaves = [layer.base.weight, layer.base.bias, layer.lora_a, layer.lora_b,
+                  Tensor(x0, requires_grad=True)]
+        for t in leaves:
+            t.requires_grad = True
+        x = F.gelu(leaves[-1])
+        y = call(layer, x)
+        # x's gradient sums three terms, so their order shows in its bits
+        grads = backward(F.add(F.sum(F.mul(y, c)), F.sum(F.mul(x, cx))))
+        return [y.data] + [grads[t] for t in leaves]
+
+    def separate(layer, x):
+        y = F.add(F.matmul(x, layer.base.weight, transpose_b=True), layer.base.bias)
+        delta = F.matmul(F.matmul(x, layer.lora_a, transpose_b=True), layer.lora_b,
+                         transpose_b=True)
+        if layer.scaling != 1.0:
+            delta = F.scale(delta, layer.scaling)
+        return F.add(y, delta)
+
+    fused = run(lambda layer, x: layer(x))
+    plain = run(separate)
+    for got, want in zip(fused, plain):
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
 def test_adapter_zero_injection_identity():
     cfg = tiny_backbone()
     plain = ViTBackbone(cfg, seed=3)

@@ -40,7 +40,9 @@ def _cases(dtype):
         "concat": [([a(2, 3), a(2, 2), a(2, 1)], {"axis": 1})],
         "sum": [([a(3, 4)], {"axes": (1,)}), ([a(3, 4)], {"axes": None, "keepdims": True})],
         "mean": [([a(3, 4)], {"axes": (0,)}), ([a(3, 4)], {"axes": -1, "keepdims": True})],
-        "matmul": [([a(2, 3, 4), a(4, 5)], {}), ([a(2, 3, 4), a(2, 5, 4)], {"transpose_b": True})],
+        "matmul": [([a(2, 3, 4), a(4, 5)], {}), ([a(2, 3, 4), a(2, 5, 4)], {"transpose_b": True}),
+                   ([a(2, 3, 4), a(5, 4), a(5)], {"transpose_b": True}),  # a bias
+                   ([a(2, 3, 4), a(4, 5), a(5), a(2, 3, 5)], {})],  # a bias and an addend
         "gelu": [([a(8)], {})],
         "relu": [([a(8)], {})],
         "softmax": [([a(2, 5)], {"axis": -1}), ([a(2, 3, 4)], {"axis": -1, "alpha": 0.35})],

@@ -218,11 +218,11 @@ def test_frozen_encoder_runs_once_per_sample(mini_manifest, monkeypatch, method)
     from peftseg import training
     from peftseg.backbone import ViTBackbone
     events = []
-    real_encode, real_backward, real_evaluate = ViTBackbone.encode, training.backward, evaluate
+    real_stem, real_backward, real_evaluate = ViTBackbone.stem, training.backward, evaluate
 
-    def encode(self, *args, **kwargs):
+    def stem(self, *args, **kwargs):  # once per encoder pass
         events.append("encode")
-        return real_encode(self, *args, **kwargs)
+        return real_stem(self, *args, **kwargs)
 
     def step(loss):
         events.append("step")
@@ -234,7 +234,7 @@ def test_frozen_encoder_runs_once_per_sample(mini_manifest, monkeypatch, method)
         events.append("done")
         return out
 
-    monkeypatch.setattr(ViTBackbone, "encode", encode)
+    monkeypatch.setattr(ViTBackbone, "stem", stem)
     monkeypatch.setattr(training, "backward", step)
     monkeypatch.setattr(training, "evaluate", evaluating)
     result = train(mini_run(mini_manifest, method=method, max_epochs=3))
@@ -517,6 +517,36 @@ def test_evaluate_memory_does_not_grow_with_the_split(stream_manifest):
     growth = (traced_peak(lambda: evaluate(model, four, "test", batch))
               - traced_peak(lambda: evaluate(model, one, "test", batch)))
     assert growth < batch * 6 * 32 * 32 * 4
+
+
+@pytest.mark.parametrize("path", ["evaluate", "split_embeddings"])
+def test_the_batch_is_freed_before_the_first_block(mini_manifest, monkeypatch, path):
+    """A forward-only pass hands the stacked images to the model as a
+    temporary, so they are freed once the stem has run."""
+    import weakref
+    from peftseg import diagnostics, training
+    from peftseg.backbone import TransformerBlock
+    stacked, alive = [], []
+    real_assemble, real_block = training.assemble_batch, TransformerBlock.__call__
+
+    def assemble(samples, idx):
+        batch = real_assemble(samples, idx)
+        stacked.append(weakref.ref(batch[0]))
+        return batch
+
+    def block(self, *args, **kwargs):
+        alive.append(stacked[-1]() is not None)
+        return real_block(self, *args, **kwargs)
+
+    for module in (training, diagnostics):
+        monkeypatch.setattr(module, "assemble_batch", assemble)
+    monkeypatch.setattr(TransformerBlock, "__call__", block)
+    model = build_model(tiny_backbone(image=(32, 32)), DecoderConfig("linear", 2), "lora")
+    if path == "evaluate":
+        evaluate(model, mini_manifest, "test", batch_size=4)
+    else:
+        diagnostics.split_embeddings(model, mini_manifest, "test")
+    assert stacked and alive and not any(alive)
 
 
 def test_masks_keep_the_samples_dtype(mini_manifest):
