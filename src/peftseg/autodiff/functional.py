@@ -8,6 +8,8 @@ tape node per call and gives the bytes of a separate ``scale``. A linear
 layer is one ``matmul`` node: the bias, and any addend such as a LoRA
 layer's base output, are trailing inputs that the node adds into its own
 output in place, with the bits and the gradients of separate ``add`` nodes.
+A convolution over a channel concatenation takes the parts as a list of
+blocks instead, with the bits of the concatenation it never builds.
 """
 
 from __future__ import annotations
@@ -98,9 +100,14 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
                            {"eps": eps, "training": training, "relu": relu})
 
 
-def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1,
+def conv2d(x, w: Tensor, bias: Tensor | None = None, stride: int = 1,
            padding: int = 0) -> Tensor:
-    y = apply_primitive("conv2d", [x, w], {"stride": stride, "padding": padding})
+    """Convolution of ``x``, a tensor or a list of channel blocks: a list is
+    read as its concatenation along channels, which is never built."""
+    blocks = [x] if isinstance(x, Tensor) else list(x)
+    if not blocks:
+        raise ShapeError("conv2d: no input blocks")
+    y = apply_primitive("conv2d", [blocks[0], w, *blocks[1:]], {"stride": stride, "padding": padding})
     if bias is not None:
         y = add(y, reshape(bias, (1, bias.shape[0], 1, 1)))
     return y

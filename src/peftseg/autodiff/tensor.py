@@ -205,10 +205,12 @@ def backward(root: Tensor) -> dict[Tensor, np.ndarray]:
     Returns a map from leaf tensor to its gradient array; each leaf's ``grad``
     attribute is also accumulated (callers zero it between steps).
 
-    Backward consumes the graph: once a node's rule has run, the node drops
-    its inputs and its rule (with the arrays the rule saved), so activations
-    are freed as the sweep passes them. A second backward through any
-    consumed node raises :class:`GraphConsumedError`.
+    Backward consumes the graph: a node drops its inputs and its rule before
+    the rule runs, and the rule, with the arrays it saved, is dropped once it
+    has run, so activations are freed as the sweep passes them. A rule owns
+    its saved arrays: nothing else holds them while it runs, so a rule may
+    free one (set its entry to None) once it has read it. A second backward
+    through any consumed node raises :class:`GraphConsumedError`.
     """
     if root.size != 1:
         raise ShapeError(f"backward root must be scalar, got shape {root.shape}")
@@ -223,30 +225,33 @@ def backward(root: Tensor) -> dict[Tensor, np.ndarray]:
     # producer's turn comes, once its consumers have dropped their inputs
     grad_table: dict[int, np.ndarray] = {root.node.index: np.ones_like(root.data)}
     result: dict[Tensor, np.ndarray] = {}
-
     for node in reversed(tape.nodes):
-        gout = grad_table.pop(node.index, None)
-        inputs, rule = node.inputs, node.backward_fn
-        node.inputs, node.backward_fn = (), None
-        if gout is None:
-            continue
-        gins = rule(gout, node.needs)
-        for t, g, needed in zip(inputs, gins, node.needs):
-            if not needed or g is None:
-                continue
-            if t.node is not None:
-                key = t.node.index
-                if key in grad_table:
-                    grad_table[key] = grad_table[key] + g
-                else:
-                    grad_table[key] = g
-            elif t.requires_grad:
-                if t in result:
-                    result[t] = result[t] + g
-                else:
-                    # copy: g may be a view into another node's buffer
-                    result[t] = np.array(g, copy=True)
+        _step(node, grad_table.pop(node.index, None), grad_table, result)
 
     for t, g in result.items():
         t.grad = g if t.grad is None else t.grad + g
     return result
+
+
+def _step(node: Node, gout, grad_table: dict, result: dict) -> None:
+    """Run one node's rule on its upstream gradient ``gout`` (None: no
+    gradient reached it) and add what it returns to ``grad_table`` (by the
+    producer's node index) or ``result`` (by leaf). Everything the rule read
+    is freed when this returns."""
+    # where each needed gradient goes, so the inputs can go before the rule runs
+    dests = [None if not need else t if t.node is None else t.node.index
+             for t, need in zip(node.inputs, node.needs)]
+    rule = node.backward_fn
+    node.inputs, node.backward_fn = (), None
+    if gout is None:
+        return
+    gins = rule(gout, node.needs)
+    del rule, gout
+    for dest, g in zip(dests, gins):
+        if dest is None or g is None:
+            continue
+        if isinstance(dest, int):
+            grad_table[dest] = grad_table[dest] + g if dest in grad_table else g
+        elif dest.requires_grad:
+            # copy: g may be a view into another node's buffer
+            result[dest] = result[dest] + g if dest in result else np.array(g, copy=True)

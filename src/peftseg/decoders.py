@@ -201,18 +201,19 @@ class UperNetDecoder(Module):
         return branches
 
     def __call__(self, pyramid: FeaturePyramid, out_hw: tuple[int, int], training: bool = False) -> Tensor:
-        p0, p1, p2, p3 = pyramid.maps
-        top = self.ppm_fuse(F.concat([p3] + self._ppm_branches(p3, training), axis=1), training)
-
-        feats = [None, None, None, top]
+        p3 = pyramid.maps[3]
+        feats = [None, None, None, self.ppm_fuse([p3] + self._ppm_branches(p3, training), training)]
+        # the lateral output and the upsampled map are temporaries, freed
+        # once their sum exists (no rule reads them)
         for i in (2, 1, 0):
-            lateral = self.lateral[i]([p0, p1, p2][i], training)
-            upper = F.bilinear_resize(feats[i + 1], lateral.shape[2], lateral.shape[3])
-            feats[i] = self.smooth[i](F.add(lateral, upper), training)
+            h, w = pyramid.maps[i].shape[2], pyramid.maps[i].shape[3]
+            feats[i] = self.smooth[i](F.add(self.lateral[i](pyramid.maps[i], training),
+                                            F.bilinear_resize(feats[i + 1], h, w)), training)
 
         h0, w0 = feats[0].shape[2], feats[0].shape[3]
-        fused = F.concat([feats[0]] + [F.bilinear_resize(f, h0, w0) for f in feats[1:]], axis=1)
-        logits = self.classifier(self.fuse(fused, training))
+        blocks = [feats[0]] + [F.bilinear_resize(f, h0, w0) for f in feats[1:]]
+        del feats  # the coarser levels are read only by their resizes
+        logits = self.classifier(self.fuse(blocks, training))
         return F.bilinear_resize(logits, out_hw[0], out_hw[1])
 
 
@@ -223,7 +224,7 @@ class _ConvBnRelu(Module):
         self.conv = Conv2d(rng, c_in, c_out, k, padding=k // 2)
         self.bn = BatchNormRelu2d(c_out)
 
-    def __call__(self, x: Tensor, training: bool) -> Tensor:
+    def __call__(self, x: Tensor | list[Tensor], training: bool) -> Tensor:
         return self.bn(self.conv(x), training)
 
 
@@ -239,7 +240,9 @@ class _ConvRelu(Module):
 
 class UNetDecoder(Module):
     """Top-down decoding with skip concatenation: interpolate 2x, concatenate
-    the next finer pyramid level, then two conv/batch-norm/ReLU stages."""
+    the next finer pyramid level, then two conv/batch-norm/ReLU stages. The
+    first stage's conv reads the two maps as channel blocks, so the
+    concatenation is never built."""
 
     def __init__(self, rng: np.random.Generator, cfg: DecoderConfig, pyramid_channels: tuple[int, ...]):
         w0, w1, w2, w3 = cfg.unet_widths
@@ -262,8 +265,7 @@ class UNetDecoder(Module):
         x = self.entry(p3, training)
         for stage, skip in zip(self.stages, (p2, p1, p0)):
             x = F.bilinear_resize(x, skip.shape[2], skip.shape[3])
-            x = F.concat([x, skip], axis=1)
-            x = stage["b"](stage["a"](x, training), training)
+            x = stage["b"](stage["a"]([x, skip], training), training)
         x = F.bilinear_resize(x, out_hw[0], out_hw[1])
         return self.classifier(x)
 

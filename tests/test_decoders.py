@@ -199,6 +199,47 @@ def test_upernet_trains_at_batch_one(method):
     assert np.isfinite(logits).all() and np.abs(logits).max() < 1e3
 
 
+def _step_arrays(kind, method):
+    """Training logits, loss, every gradient and the eval logits of one desk step."""
+    model = build_model(tiny_backbone(), DecoderConfig(kind, 2), method, seed=0)
+    rng = np.random.default_rng(6)
+    images = rng.normal(size=(2, 6, 64, 64)).astype(np.float32)
+    logits = model.forward(images, training=True)
+    loss = F.cross_entropy(logits, rng.integers(0, 2, size=(2, 64, 64)))
+    ops = [(n.op_id, len(n.inputs)) for n in trace(loss).nodes]
+    arrays = {"logits": logits.data, "loss": loss.data}
+    grads = backward(loss)
+    arrays.update((name, grads[t]) for name, t in model.named_parameters() if t in grads)
+    arrays["eval logits"] = model.forward(images, training=False).data
+    return ops, arrays
+
+
+@pytest.mark.parametrize("method", ["lora", "full_finetune"])
+@pytest.mark.parametrize("kind", ["upernet", "unet"])
+def test_block_input_keeps_the_bits_of_concat_then_conv(kind, method, monkeypatch):
+    """UperNet's fuse and PPM fuse convs and UNet's stage convs read their parts
+    as channel blocks: no concat node, and every array of a step byte-equal to
+    concatenating the parts first."""
+    ops, blocks = _step_arrays(kind, method)
+    block_convs = [n for op, n in ops if op == "conv2d" and n > 2]
+    assert block_convs == ([6, 5] if kind == "upernet" else [3, 3, 3]), block_convs
+
+    conv2d = F.conv2d
+
+    def concat_then_conv(x, w, *args, **kwargs):
+        return conv2d(x if isinstance(x, Tensor) else F.concat(x, axis=1), w, *args, **kwargs)
+
+    monkeypatch.setattr(F, "conv2d", concat_then_conv)
+    reference_ops, reference = _step_arrays(kind, method)
+    assert reference_ops.count(("conv2d", 2)) == ops.count(("conv2d", 2)) + len(block_convs)
+    concats = [op for op, _ in reference_ops if op == "concat"]
+    assert len(concats) == [op for op, _ in ops].count("concat") + len(block_convs)
+    assert blocks.keys() == reference.keys()
+    for name, a in blocks.items():
+        b = reference[name]
+        assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes(), name
+
+
 @pytest.mark.parametrize("shape", [(2, 3, 5, 5), (2, 1, 5, 5), (2, 4, 5)])
 def test_batch_norm_rejects_a_bad_input_before_its_running_stats_move(shape):
     bn = BatchNormRelu2d(4)

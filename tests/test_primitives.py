@@ -1,5 +1,7 @@
 """Forward-path oracles for the primitive set."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,40 @@ def test_shape_mismatch_reports_op_and_shapes():
         F.matmul(t(np.zeros((2, 3))), t(np.zeros((4, 2))))
     msg = str(err.value)
     assert "matmul" in msg and "(2, 3)" in msg and "(4, 2)" in msg
+
+
+@pytest.mark.parametrize("shapes, dtypes, what", [
+    (((2, 1, 5, 5), (3, 2, 5, 5)), (np.float32, np.float32), "batch"),
+    (((2, 1, 5, 5), (2, 2, 4, 5)), (np.float32, np.float32), "extent"),
+    (((2, 1, 5, 5), (2, 2, 5, 5)), (np.float32, np.float64), "dtype"),
+    (((2, 1, 5, 5), (2, 1, 5, 5), (2, 2, 5, 5)), (np.float32,) * 3, "channel"),
+    (((2, 1, 5, 5), (2, 2, 5)), (np.float32, np.float32), "rank"),
+])
+def test_conv2d_rejects_blocks_that_do_not_make_one_input(shapes, dtypes, what):
+    """A list of channel blocks must read as one (B, C, H, W) input with the
+    kernel's channel count: anything else names conv2d and every block's shape."""
+    w = t(np.zeros((4, 3, 3, 3)))
+    blocks = [Tensor(np.zeros(s, dtype=d)) for s, d in zip(shapes, dtypes)]
+    with pytest.raises(ShapeError) as err:
+        F.conv2d(blocks, w, padding=1)
+    msg = str(err.value)
+    assert "conv2d" in msg and all(str(s) in msg for s in shapes), msg
+    if what == "dtype":
+        assert "float32" in msg and "float64" in msg, msg
+
+
+def test_conv2d_rejects_an_empty_block_list():
+    with pytest.raises(ShapeError, match="conv2d"):
+        F.conv2d([], t(np.zeros((4, 3, 3, 3))))
+
+
+def test_conv2d_of_blocks_is_the_conv_of_their_concatenation():
+    rng = np.random.default_rng(4)
+    parts = [rng.normal(size=(2, c, 7, 6)).astype(np.float32) for c in (3, 1, 2)]
+    w, b = rng.normal(size=(5, 6, 3, 3)).astype(np.float32), rng.normal(size=5).astype(np.float32)
+    whole = F.conv2d(t(np.concatenate(parts, axis=1)), t(w), t(b), stride=2, padding=1)
+    blocks = F.conv2d([t(p) for p in parts], t(w), t(b), stride=2, padding=1)
+    assert whole.data.tobytes() == blocks.data.tobytes()
 
 
 def test_softmax_rows_sum_to_one():
@@ -149,3 +185,30 @@ def test_determinism_bitwise():
     first = F.conv2d(t(x), t(w), stride=2, padding=1).data
     second = F.conv2d(t(x), t(w), stride=2, padding=1).data
     assert np.array_equal(first, second)
+
+
+@pytest.mark.parametrize("training", [False, True])
+def test_batch_norm_without_a_node_builds_only_its_output(training):
+    """With no node recorded, batch norm writes its affine map and ReLU into
+    the normalised array, keeping the bits of the path that saves ``xhat``: in
+    eval mode the output is the only array it builds."""
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(8, 64, 32, 32)).astype(np.float32)
+    gamma, beta = rng.normal(size=64).astype(np.float32), rng.normal(size=64).astype(np.float32)
+    stats = rng.normal(size=64).astype(np.float32), rng.uniform(0.5, 2, size=64).astype(np.float32)
+
+    def bn(requires_grad):
+        return F.batch_norm2d(t(x), t(gamma, requires_grad=requires_grad), t(beta), t(stats[0]),
+                              t(stats[1]), training=training, relu=True)
+
+    recorded = bn(True)
+    assert recorded.node is not None
+    tracemalloc.start()
+    try:
+        lean = bn(False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lean.node is None and lean.data.tobytes() == recorded.data.tobytes()
+    # training-mode statistics square a centred copy, the running ones need none
+    assert peak < (2 if training else 1) * lean.data.nbytes + (1 << 20), peak

@@ -10,7 +10,7 @@ import weakref
 import numpy as np
 import pytest
 
-from peftseg.autodiff import Tensor, apply_primitive, backward, functional as F, trace
+from peftseg.autodiff import Tensor, apply_primitive, backward, functional as F, primitives, trace
 from peftseg.autodiff.primitives import _REGISTRY, _register, registered_primitives
 from peftseg.decoders import DecoderConfig
 from peftseg.model import build_model
@@ -51,7 +51,10 @@ def _cases(dtype):
         "batch_norm2d": [(inputs, {"training": t, "relu": r})
                          for t, inputs in ((True, bn_inputs()), (False, bn_inputs()))
                          for r in (False, True)],
-        "conv2d": [([a(2, 2, 5, 5), a(3, 2, 3, 3)], {"stride": 2, "padding": 1})],
+        "conv2d": [([a(2, 2, 5, 5), a(3, 2, 3, 3)], {"stride": 2, "padding": 1}),
+                   ([a(2, 1, 5, 5), a(3, 3, 3, 3), a(2, 2, 5, 5)], {"padding": 1}),  # two blocks
+                   ([a(2, 2, 4, 4), a(3, 6, 3, 3), a(2, 1, 4, 4), a(2, 2, 4, 4), a(2, 1, 4, 4)],
+                    {"stride": 2, "padding": 1})],  # four blocks
         "conv_transpose2d": [([a(1, 2, 3, 3), a(2, 3, 2, 2)], {"stride": 2, "padding": 0})],
         "bilinear_resize": [([a(1, 2, 3, 4)], {"out_h": 5, "out_w": 7})],
         "reflect_pad2d": [([a(1, 1, 3, 4)], {"pad_h": 2, "pad_w": 2})],
@@ -83,7 +86,8 @@ def test_backward_reads_only_what_saves_declares(op_id, dtype):
             assert len(saved) == len(datas) and all(type(s) is bool for s in saved)
             lean = [d if keep else np.broadcast_to(np.zeros((), d.dtype), d.shape)
                     for d, keep in zip(datas, saved)]
-            full_grads = prim.backward(datas, attrs, ctx, g, needs)
+            # a rule may free what its list holds, so each call gets its own list
+            full_grads = prim.backward(list(datas), attrs, ctx, g, needs)
             lean_grads = prim.backward(lean, attrs, ctx, g, needs)
             for i, (x, y) in enumerate(zip(full_grads, lean_grads)):
                 where = f"{op_id} needs={needs} input {i}"
@@ -104,11 +108,13 @@ def test_backward_bits_do_not_depend_on_gradient_layout(op_id):
         cases = cases + [([rng.normal(size=(8, 128, 16, 16)).astype(np.float32),
                            rng.normal(size=(1, 128, 1, 1)).astype(np.float32)], {})]
     for datas, attrs in cases:
-        out = apply_primitive(op_id, [Tensor(d, requires_grad=True) for d in datas], attrs)
+        def node():  # a rule may free what it saved, so each call gets a fresh node
+            return apply_primitive(op_id, [Tensor(d, requires_grad=True) for d in datas], attrs).node
+        out = node()
         g = rng.normal(size=out.shape).astype(out.dtype)
-        needs = out.node.needs
-        c_grads = out.node.backward_fn(g.copy(), needs)
-        f_grads = out.node.backward_fn(np.asfortranarray(g), needs)
+        needs = out.needs
+        c_grads = node().backward_fn(g.copy(), needs)
+        f_grads = node().backward_fn(np.asfortranarray(g), needs)
         for i, (x, y) in enumerate(zip(c_grads, f_grads)):
             where = f"{op_id} {[d.shape for d in datas]} input {i}"
             if x is None:
@@ -173,3 +179,33 @@ def test_attention_scores_are_freed_before_backward(monkeypatch):
         assert out.data.nbytes == out.size * out.dtype.itemsize and not out.data.any()
     backward(loss)
     assert x.grad is not None and np.isfinite(x.grad).all()
+
+
+def test_fuse_conv_frees_its_blocks_before_their_gradients(monkeypatch):
+    """Backward drops a node's inputs before its rule runs, so the rule's saved
+    arrays have no other holder: UperNet's fuse conv frees its four input
+    blocks once the kernel's gradient is done, before the blocks' gradients
+    are allocated."""
+    model = build_model(tiny_backbone(), DecoderConfig("upernet", 2), "lora", seed=0)
+    fuse_weight = model.decoder.fuse.conv.weight
+    blocks, seen = [], []
+    conv2d, grad_x = F.conv2d, primitives._conv2d_grad_x
+
+    def spy_conv2d(x, w, *args, **kwargs):
+        if w is fuse_weight:
+            blocks.extend(weakref.ref(t.data) for t in x)
+        return conv2d(x, w, *args, **kwargs)
+
+    def spy_grad_x(gy, w, *args, **kwargs):
+        if w is fuse_weight.data and blocks and not seen:
+            seen.append([ref() is None for ref in blocks])
+        return grad_x(gy, w, *args, **kwargs)
+
+    monkeypatch.setattr(F, "conv2d", spy_conv2d)
+    monkeypatch.setattr(primitives, "_conv2d_grad_x", spy_grad_x)
+    rng = np.random.default_rng(5)
+    images = rng.normal(size=(2, 6, 64, 64)).astype(np.float32)
+    loss = F.cross_entropy(model.forward(images, training=True), rng.integers(0, 2, size=(2, 64, 64)))
+    assert len(blocks) == 4 and all(ref() is not None for ref in blocks)  # the tape holds them
+    backward(loss)
+    assert seen == [[True] * 4]
