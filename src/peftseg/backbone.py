@@ -235,9 +235,7 @@ class ViTBackbone(Module):
         patches = F.transpose(patches, (0, 2, 4, 1, 3, 5))
         patches = F.reshape(patches, (b, gh * gw, c * p * p))
         weight = self.patch_embed.weight_for_bands(bands)
-        tokens = F.matmul(patches, weight)
-        tokens = F.add(tokens, self.patch_embed.bias)
-        tokens = F.add(tokens, self.patch_embed.pos_table)
+        tokens = F.matmul(patches, weight, self.patch_embed.bias, self.patch_embed.pos_table)
         if squeeze:
             tokens = F.reshape(tokens, tokens.shape[1:])
         return tokens
@@ -308,20 +306,6 @@ class ViTBackbone(Module):
             tokens = F.add(tokens, F.reshape(vec, (vec.shape[0], 1, vec.shape[1])))
         adapter_tokens = self.adapter.stem_tokens(x) if self.adapter is not None else None
         return tokens, adapter_tokens
-
-    def encode(self, images, bands: Sequence[str] | None = None,
-               meta: dict | None = None,
-               pyramid: bool = True) -> tuple[list[Tensor], Tensor | None]:
-        """Encode a (C,H,W) image or (B,C,H,W) batch: ``stem``, then the
-        transformer.
-
-        Returns the batched tap maps (the four taps, or the final one alone
-        with ``pyramid`` off; see ``forward_features``) and the adapter tokens
-        (None without an adapter).
-        """
-        tokens, adapter_tokens = self.stem(images, bands, meta)
-        del images  # freed here when the caller passed a temporary
-        return self.forward_features(tokens, adapter_tokens, pyramid), adapter_tokens
 
     def image_embedding(self, image, bands: Sequence[str] | None = None,
                         meta: dict | None = None) -> np.ndarray:

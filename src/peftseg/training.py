@@ -3,8 +3,10 @@
 The protocol: AdamW (beta1 0.9, beta2 0.999) on the freeze policy's trainable
 set, ReduceLROnPlateau on validation mIoU (patience 4, factor 0.5), early
 stopping after 15 epochs without improvement, up to 100 epochs, best-epoch
-weights kept. Runs are deterministic given the seed; the wall-clock column in
-the history is the only non-reproducible field.
+weights kept. A sweep trial is that fit alone, ranked by its best validation
+mIoU, with no best-epoch restore and no test or GHOS pass. Runs are
+deterministic given the seed; the wall-clock column in the history is the only
+non-reproducible field.
 """
 
 from __future__ import annotations
@@ -298,38 +300,45 @@ def evaluate(model: SegmentationModel, manifest: DatasetManifest, split: str,
     return _metrics(*_eval_pass(model, samples, batch_size, manifest.num_classes))
 
 
-def train(cfg: RunConfig, verbose: bool = False) -> RunResult:
-    """Run the full fine-tuning protocol and return the best-epoch model; its
-    validation metrics are that epoch's own pass, kept with its weights."""
-    manifest = cfg.manifest
-    if manifest.num_classes != cfg.decoder.num_classes:
-        raise ConfigError(f"decoder expects {cfg.decoder.num_classes} classes, "
-                          f"dataset has {manifest.num_classes}")
-    train_samples = load_split(manifest, "train", cfg.bands, cfg.backbone.image_size)
-    if all((s.mask == IGNORE_INDEX).all() for s in train_samples):
-        raise DataError("split 'train' has no labelled pixel")
-    val_samples = load_split(manifest, "val", cfg.bands, cfg.backbone.image_size)
+class _Fit:
+    """A run between epochs: the checked config, samples, model, frozen-feature
+    caches, AdamW, plateau scheduler, early stopper, shuffle RNG, history, and the
+    best epoch's snapshot with its (val_loss, confusion matrix)."""
 
-    model = build_model(cfg.backbone, cfg.decoder, cfg.method, seed=cfg.seed,
-                        lora_cfg=cfg.lora, vpt_cfg=cfg.vpt, adapter_cfg=cfg.adapter)
-    train_features = _frozen_features(model, train_samples, cfg.batch_size)
-    val_features = _frozen_features(model, val_samples, cfg.batch_size)
-    optimizer = AdamW(list(model.trainable_parameters()), lr=cfg.learning_rate,
-                      weight_decay=cfg.weight_decay)
-    scheduler = ReduceOnPlateau(optimizer, patience=cfg.plateau_patience, factor=cfg.plateau_factor)
-    stopper = EarlyStopping(patience=cfg.early_stop_patience)
-    shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 17]))
+    def __init__(self, cfg: RunConfig):
+        manifest = cfg.manifest
+        if manifest.num_classes != cfg.decoder.num_classes:
+            raise ConfigError(f"decoder expects {cfg.decoder.num_classes} classes, "
+                              f"dataset has {manifest.num_classes}")
+        self.cfg = cfg
+        self.train_samples = load_split(manifest, "train", cfg.bands, cfg.backbone.image_size)
+        if all((s.mask == IGNORE_INDEX).all() for s in self.train_samples):
+            raise DataError("split 'train' has no labelled pixel")
+        self.val_samples = load_split(manifest, "val", cfg.bands, cfg.backbone.image_size)
+        self.model = build_model(cfg.backbone, cfg.decoder, cfg.method, seed=cfg.seed,
+                                 lora_cfg=cfg.lora, vpt_cfg=cfg.vpt, adapter_cfg=cfg.adapter)
+        self.train_features = _frozen_features(self.model, self.train_samples, cfg.batch_size)
+        self.val_features = _frozen_features(self.model, self.val_samples, cfg.batch_size)
+        self.optimizer = AdamW(list(self.model.trainable_parameters()), lr=cfg.learning_rate,
+                               weight_decay=cfg.weight_decay)
+        self.scheduler = ReduceOnPlateau(self.optimizer, cfg.plateau_patience, cfg.plateau_factor)
+        self.stopper = EarlyStopping(patience=cfg.early_stop_patience)
+        self.shuffle_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 17]))
+        self.history: list[dict] = []
+        self.done = False
 
-    history: list[dict] = []
-    t_start = time.perf_counter()
-
-    for epoch in range(1, cfg.max_epochs + 1):
+    def step(self) -> dict:
+        """Run the next epoch, append its history row and return it; ``done``
+        turns true once early stopping fires or the epoch budget is spent."""
+        cfg, model, optimizer = self.cfg, self.model, self.optimizer
+        epoch = len(self.history) + 1
         t_epoch = time.perf_counter()
-        order = shuffle_rng.permutation(len(train_samples)).tolist()
+        order = self.shuffle_rng.permutation(len(self.train_samples)).tolist()
         loss_total = 0.0
         weight_total = 0
         for batch_no, idx in enumerate(batches(order, cfg.batch_size)):
-            _, _, loss, n_valid = _batch_loss(model, train_samples, train_features, idx, True)
+            _, _, loss, n_valid = _batch_loss(model, self.train_samples, self.train_features,
+                                              idx, True)
             if loss is None:  # a batch with no labelled pixel takes no step
                 continue
             loss_value = loss.item()
@@ -348,42 +357,47 @@ def train(cfg: RunConfig, verbose: bool = False) -> RunResult:
             optimizer.step()
             loss_total += loss_value * n_valid
             weight_total += n_valid
-        train_loss = loss_total / max(weight_total, 1)
 
-        val_loss, cm = _eval_pass(model, val_samples, cfg.batch_size, manifest.num_classes,
-                                  val_features)
-        val_miou = miou(cm)
-        lr_now = optimizer.lr
-        history.append({
+        val_loss, cm = _eval_pass(model, self.val_samples, cfg.batch_size,
+                                  cfg.manifest.num_classes, self.val_features)
+        row = {
             "epoch": epoch,
-            "train_loss": train_loss,
+            "train_loss": loss_total / max(weight_total, 1),
             "val_loss": val_loss,
-            "val_miou": val_miou,
-            "lr": lr_now,
+            "val_miou": miou(cm),
+            "lr": optimizer.lr,
             "seconds": time.perf_counter() - t_epoch,
-        })
+        }
+        self.history.append(row)
+        self.done = self.stopper.step(row["val_miou"]) or epoch == cfg.max_epochs
+        if self.stopper.best_epoch == epoch:
+            self.best_state, self.best_val = model.snapshot(), (val_loss, cm)
+        self.scheduler.step(row["val_miou"])
+        return row
+
+
+def train(cfg: RunConfig, verbose: bool = False) -> RunResult:
+    """Run the full fine-tuning protocol and return the best-epoch model; its
+    validation metrics are that epoch's own pass, kept with its weights."""
+    fit = _Fit(cfg)
+    t_start = time.perf_counter()
+    while not fit.done:
+        row = fit.step()
         if verbose:
-            print(f"epoch {epoch:3d}  train {train_loss:.4f}  val {val_loss:.4f}  "
-                  f"mIoU {val_miou:.2f}  lr {lr_now:.2e}")
+            print(f"epoch {row['epoch']:3d}  train {row['train_loss']:.4f}  "
+                  f"val {row['val_loss']:.4f}  mIoU {row['val_miou']:.2f}  lr {row['lr']:.2e}")
 
-        stop = stopper.step(val_miou)
-        if stopper.best_epoch == epoch:
-            best_state, best_val = model.snapshot(), (val_loss, cm)
-        scheduler.step(val_miou)
-        if stop:
-            break
-
-    model.load_state_dict(best_state)
-    final = {"val": _metrics(*best_val)}
-    if manifest.has_split("test"):
-        final["test"] = evaluate(model, manifest, "test", cfg.batch_size, cfg.bands)
-    if manifest.has_split("ghos"):
-        final["ghos"] = evaluate(model, manifest, "ghos", cfg.batch_size, cfg.bands)
+    model, manifest = fit.model, cfg.manifest
+    model.load_state_dict(fit.best_state)
+    final = {"val": _metrics(*fit.best_val)}
+    for split in ("test", "ghos"):
+        if manifest.has_split(split):
+            final[split] = evaluate(model, manifest, split, cfg.batch_size, cfg.bands)
 
     return RunResult(
-        best_epoch=stopper.best_epoch,
-        best_val_miou=stopper.best,
-        history=history,
+        best_epoch=fit.stopper.best_epoch,
+        best_val_miou=fit.stopper.best,
+        history=fit.history,
         final_metrics=final,
         wall_seconds=time.perf_counter() - t_start,
         parameter_report=count_parameters(model),
@@ -393,8 +407,7 @@ def train(cfg: RunConfig, verbose: bool = False) -> RunResult:
 
 def lr_search(cfg: RunConfig, trials: int = 16, lr_range=(1e-5, 1e-2),
               budget_epochs: int = 10, seed: int = 0) -> tuple[float, list[dict]]:
-    """Log-uniform random sweep; each trial is a shortened-budget run and the
-    best validation mIoU wins."""
+    """Log-uniform random sweep of fit-only trials; the best validation mIoU wins."""
     if trials < 1:
         raise ConfigError("need at least one trial")
     lo, hi = lr_range
@@ -404,8 +417,10 @@ def lr_search(cfg: RunConfig, trials: int = 16, lr_range=(1e-5, 1e-2),
     rates = np.exp(rng.uniform(np.log(lo), np.log(hi), size=trials))
     table = []
     for trial, lr in enumerate(rates):
-        result = train(replace(cfg, learning_rate=float(lr), max_epochs=budget_epochs))
-        table.append({"trial": trial, "lr": float(lr), "val_miou": result.best_val_miou})
+        fit = _Fit(replace(cfg, learning_rate=float(lr), max_epochs=budget_epochs))
+        while not fit.done:
+            fit.step()
+        table.append({"trial": trial, "lr": float(lr), "val_miou": fit.stopper.best})
     best = max(table, key=lambda row: row["val_miou"])
     return best["lr"], table
 

@@ -174,7 +174,8 @@ def test_frozen_taps_do_not_depend_on_the_batch(metadata, method):
 
     def taps(order):
         with no_grad():
-            out, _ = backbone.encode(images[order], meta={k: v[order] for k, v in meta.items()})
+            out = backbone.forward_features(*backbone.stem(
+                images[order], meta={k: v[order] for k, v in meta.items()}))
         return [t.data for t in out]
 
     batch = taps(np.arange(8))
@@ -293,8 +294,9 @@ def test_primitive_rejects_a_non_tensor_input():
 
 
 def _head_inputs_from_all_taps(model, images):
-    """What the head reads, cut from the full four-tap ``backbone.encode``."""
-    taps, adapter_tokens = model.backbone.encode(images)
+    """What the head reads, cut from the backbone's full four taps."""
+    tokens, adapter_tokens = model.backbone.stem(images)
+    taps = model.backbone.forward_features(tokens, adapter_tokens)
     if not model.decoder_cfg.needs_pyramid:
         return taps[-1:]
     if adapter_tokens is not None:
@@ -337,7 +339,7 @@ def test_tap_selection_changes_no_bits(kind, method):
     assert any(g is not None for g in grads.values())
 
     with no_grad():
-        final = model.backbone.encode(images)[0][-1]
+        final = model.backbone.forward_features(*model.backbone.stem(images))[-1]
         mean = F.mean(F.reshape(final, (3, 16, 64)), axes=(1,)).data
     assert np.array_equal(model.backbone.image_embedding(images), mean)
 

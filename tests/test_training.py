@@ -289,7 +289,8 @@ def test_cache_holds_one_array_per_head_input(mini_manifest, kind, method, n_arr
     with no_grad():
         for i in range(len(samples)):
             images, _, meta, bands = assemble_batch(samples, [i])
-            taps, adapter_tokens = model.backbone.encode(images, bands, meta)
+            tokens, adapter_tokens = model.backbone.stem(images, bands, meta)
+            taps = model.backbone.forward_features(tokens, adapter_tokens)
             if kind == "linear":
                 alone = [taps[-1]]
             elif adapter_tokens is not None:
@@ -639,6 +640,24 @@ def test_lr_search_deterministic(mini_manifest):
     a = lr_search(cfg, trials=3, budget_epochs=1, seed=5)
     b = lr_search(cfg, trials=3, budget_epochs=1, seed=5)
     assert a == b
+
+
+def test_lr_search_trial_is_the_fit_alone(mini_manifest, monkeypatch):
+    """A trial runs no test or GHOS pass, and its score is the bits of the
+    best validation mIoU that ``train()`` reaches at the same rate and budget."""
+    from peftseg import training
+
+    def no_evaluate(*args, **kwargs):
+        raise AssertionError("lr_search ran evaluate()")
+
+    monkeypatch.setattr(training, "evaluate", no_evaluate)
+    cfg = mini_run(mini_manifest)
+    _, table = lr_search(cfg, trials=3, budget_epochs=2, seed=4)
+    monkeypatch.undo()
+    assert len(table) == 3
+    for row in table:
+        result = train(replace(cfg, learning_rate=row["lr"], max_epochs=2))
+        assert row["val_miou"] == result.best_val_miou
 
 
 def test_lr_search_rates_within_range(mini_manifest):
