@@ -31,6 +31,9 @@ _ERF32_Q = tuple(np.float32(c) for c in (
     -1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03, -7.37332916720468e-03,
     -1.42647390514189e-02))
 _GELU_CHUNK = 1 << 14  # elements per GELU pass, so its temporaries stay small
+# batch norm's backward builds its per-channel products in pieces of this size
+_PART_BYTES = 1 << 20
+_PART_CHANNELS = 4
 
 
 # ``Primitive.saves`` rules: map ``needs`` to the input arrays a rule reads.
@@ -450,15 +453,24 @@ def _standardise(x, axes, eps):
     return xhat, inv
 
 
-def _standardise_grad(dxhat, xhat, inv, axes):
+def _standardise_grad(dxhat, xhat, inv, axes, parts=(Ellipsis,)):
     """The input gradient of ``_standardise`` from the gradient of its output,
-    computed in place in ``dxhat``, which the caller must own."""
+    computed in place in ``dxhat``, which the caller must own. The full-size
+    products are built one index of ``parts`` (slices along axis 1) at a time."""
     mean = dxhat.mean(axis=axes, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=axes, keepdims=True)
+    m2 = _reduce_products("mean", dxhat, xhat, axes, parts)
     dxhat -= mean
-    dxhat -= xhat * m2
+    for p in parts:
+        dxhat[p] -= xhat[p] * m2[p]
     dxhat *= inv
     return dxhat
+
+
+def _reduce_products(method, a, b, axes, parts):
+    """``(a * b).<method>(axis=axes, keepdims=True)``, the product built one
+    index of ``parts`` at a time: slices along axis 1, which ``axes`` keeps."""
+    pieces = [getattr(a[p] * b[p], method)(axis=axes, keepdims=True) for p in parts]
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=1)
 
 
 def _layer_norm_fwd(datas, attrs):
@@ -511,17 +523,39 @@ def _batch_norm2d_fwd(datas, attrs):
     return y, None if in_place else (xhat, inv)
 
 
+def _channel_parts(x):
+    """Indices of channel slices of (B, C, H, W) ``x`` of about _PART_BYTES
+    each, and of _PART_CHANNELS at least. numpy sums a slice of two or more
+    channels over (0, 2, 3) as it sums the whole array, image by image in
+    batch order; a lone channel is contiguous across images and is summed in
+    one pass, which rounds otherwise."""
+    b, c, h, w = x.shape
+    return [(slice(None), s)
+            for s in _chunks(c, b * h * w * x.itemsize, _PART_BYTES, _PART_CHANNELS)]
+
+
 def _batch_norm2d_bwd(datas, attrs, ctx, g, needs):
+    """The input's gradient is built in one buffer: with the ReLU, the
+    rebuilt pre-ReLU output takes the masked upstream gradient; gamma and the
+    standardisation's gradient then apply in place. Full-size products run a
+    few channels at a time."""
     xhat, inv = ctx
-    if attrs.get("relu", False):
-        # the forward's own ops rebuild the pre-ReLU output, so the mask is exact
-        g = g * (_bn_affine(xhat, datas[1], datas[2]) > 0)
+    gamma, parts = datas[1].reshape(1, -1, 1, 1), _channel_parts(xhat)
+    owned = attrs.get("relu", False)  # whether ``g`` is an array of our own
+    if owned:
+        # the forward's own ops rebuild the pre-ReLU output, so the mask is
+        # exact; the masked gradient overwrites it
+        y = _bn_affine(xhat, datas[1], datas[2])
+        g = np.multiply(g, y > 0, out=y if y.dtype == g.dtype else None)
+    ggamma = _reduce_products("sum", g, xhat, (0, 2, 3), parts).reshape(-1) if needs[1] else None
+    gbeta = g.sum(axis=(0, 2, 3)) if needs[2] else None
     gx = None
     if needs[0]:
-        dxhat = g * datas[1].reshape(1, -1, 1, 1)
-        gx = _standardise_grad(dxhat, xhat, inv, (0, 2, 3)) if attrs.get("training", True) else dxhat * inv
-    ggamma = (g * xhat).sum(axis=(0, 2, 3)) if needs[1] else None
-    gbeta = g.sum(axis=(0, 2, 3)) if needs[2] else None
+        dxhat = np.multiply(g, gamma, out=g if owned and g.dtype == np.result_type(g, gamma) else None)
+        if attrs.get("training", True):
+            gx = _standardise_grad(dxhat, xhat, inv, (0, 2, 3), parts)
+        else:
+            gx = np.multiply(dxhat, inv, out=dxhat if dxhat.dtype == np.result_type(dxhat, inv) else None)
     return gx, ggamma, gbeta, None, None
 
 
@@ -689,6 +723,14 @@ def _col2im(cols, x_shape, kh, kw, stride, padding):
     return gxp[:, :, padding:padding + h, padding:padding + wd]
 
 
+def _pointwise(xs, kh, kw, stride, padding):
+    """Whether a conv of the blocks ``xs`` can run one GEMM per image on the
+    input as it lies: one block, kernel 1, stride 1 and no padding, where the
+    columns would copy the image. Those are the column path's GEMMs, or, for
+    an image above the tile, GEMMs whose bits its bands and chunks keep."""
+    return len(xs) == 1 and kh == kw == stride == 1 and padding == 0
+
+
 def _conv2d_core(x, w, stride, padding):
     """The forward map of ``x``, one array or a list of channel blocks."""
     xs = _blocks(x)
@@ -697,6 +739,9 @@ def _conv2d_core(x, w, stride, padding):
     ho, wo = _conv_out_hw(h, wd, kh, kw, stride, padding)
     w2 = w.reshape(o, c * kh * kw)
     out = np.empty((b, o, ho, wo), dtype=np.result_type(xs[0], w))
+    if _pointwise(xs, kh, kw, stride, padding):
+        np.matmul(w2, np.ascontiguousarray(xs[0]).reshape(b, c, h * wd), out=out.reshape(b, o, ho * wo))
+        return out
     row_bytes = w2.shape[1] * wo * xs[0].itemsize
     least = _least_units(o * w2.shape[1] * wo, wo)
     for imgs in _chunks(b, ho * row_bytes, COLUMN_BYTES):
@@ -720,6 +765,9 @@ def _conv2d_grad_x(gy, w, stride, padding, x_shape, widths=None):
     g2 = gy.reshape(b, o, ho * wo)
     dtype = np.result_type(gy, w)
     gxs = [np.empty((b, n, *x_shape[2:]), dtype=dtype) for n in widths or [c]]
+    if _pointwise(gxs, kh, kw, stride, padding):
+        np.matmul(w2t, g2, out=gxs[0].reshape(b, c, ho * wo))
+        return gxs if widths else gxs[0]
     channel_bytes = k * ho * wo * dtype.itemsize
     least = _least_units(k * ho * wo * o, k)
     for imgs in _chunks(b, c * channel_bytes, COLUMN_BYTES):
@@ -839,6 +887,33 @@ def _interp_matrix(n_in, n_out, dtype):
     return m
 
 
+def _resize_parts(b, c, ah, aw, itemsize):
+    """Channel slices for either pass of a resize by ``ah`` and ``aw``: each
+    takes at most COLUMN_BYTES of input or output, and, as with the conv
+    tiles, every GEMM of a slice does more than _SPLIT_MACS multiply-adds and
+    is two rows or columns wide, so a slice keeps the whole pass's bits."""
+    (oh, h), (ow, w) = ah.shape, aw.shape
+    macs = b * min(oh * h * w, oh * w * ow, h * oh * ow, h * ow * w)
+    least = _least_units(macs, b * min(h, w, oh, ow))
+    return _chunks(c, b * max(h * w, oh * ow) * itemsize, COLUMN_BYTES, least)
+
+
+def _resize_pass(first, second, x, ah, aw, out_hw):
+    """``einsum(second, einsum(first, ah, x), aw)``, one separable pass of a
+    resize, run on channel slices of ``x`` written into one result."""
+    parts = _resize_parts(x.shape[0], x.shape[1], ah, aw, x.itemsize)
+
+    def run(xp):
+        return np.einsum(second, np.einsum(first, ah, xp, optimize=True), aw, optimize=True)
+
+    if len(parts) == 1:  # no copy into a second result
+        return run(x)
+    out = np.empty(x.shape[:2] + out_hw, dtype=np.result_type(x, ah, aw))
+    for p in parts:
+        out[:, p] = run(x[:, p])
+    return out
+
+
 def _bilinear_resize_fwd(datas, attrs):
     x = datas[0]
     if x.ndim != 4:
@@ -848,14 +923,12 @@ def _bilinear_resize_fwd(datas, attrs):
         raise _shape_err("bilinear_resize", f"invalid target ({oh},{ow})", x.shape)
     ah = _interp_matrix(x.shape[2], oh, x.dtype)
     aw = _interp_matrix(x.shape[3], ow, x.dtype)
-    tmp = np.einsum("oh,bchw->bcow", ah, x, optimize=True)
-    return np.einsum("bcow,pw->bcop", tmp, aw, optimize=True), (ah, aw)
+    return _resize_pass("oh,bchw->bcow", "bcow,pw->bcop", x, ah, aw, (oh, ow)), (ah, aw)
 
 
 def _bilinear_resize_bwd(datas, attrs, ctx, g, needs):
     ah, aw = ctx
-    tmp = np.einsum("oh,bcop->bchp", ah, g, optimize=True)
-    return (np.einsum("bchp,pw->bchw", tmp, aw, optimize=True),)
+    return (_resize_pass("oh,bcop->bchp", "bchp,pw->bchw", g, ah, aw, (ah.shape[1], aw.shape[1])),)
 
 
 def _reflect_pad2d_fwd(datas, attrs):

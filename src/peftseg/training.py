@@ -303,7 +303,7 @@ def evaluate(model: SegmentationModel, manifest: DatasetManifest, split: str,
 class _Fit:
     """A run between epochs: the checked config, samples, model, frozen-feature
     caches, AdamW, plateau scheduler, early stopper, shuffle RNG, history, and the
-    best epoch's snapshot with its (val_loss, confusion matrix)."""
+    last epoch's validation pass as (val_loss, confusion matrix)."""
 
     def __init__(self, cfg: RunConfig):
         manifest = cfg.manifest
@@ -369,9 +369,8 @@ class _Fit:
             "seconds": time.perf_counter() - t_epoch,
         }
         self.history.append(row)
+        self.val_pass = (val_loss, cm)
         self.done = self.stopper.step(row["val_miou"]) or epoch == cfg.max_epochs
-        if self.stopper.best_epoch == epoch:
-            self.best_state, self.best_val = model.snapshot(), (val_loss, cm)
         self.scheduler.step(row["val_miou"])
         return row
 
@@ -383,13 +382,15 @@ def train(cfg: RunConfig, verbose: bool = False) -> RunResult:
     t_start = time.perf_counter()
     while not fit.done:
         row = fit.step()
+        if fit.stopper.best_epoch == row["epoch"]:
+            best_state, best_val = fit.model.snapshot(), fit.val_pass
         if verbose:
             print(f"epoch {row['epoch']:3d}  train {row['train_loss']:.4f}  "
                   f"val {row['val_loss']:.4f}  mIoU {row['val_miou']:.2f}  lr {row['lr']:.2e}")
 
     model, manifest = fit.model, cfg.manifest
-    model.load_state_dict(fit.best_state)
-    final = {"val": _metrics(*fit.best_val)}
+    model.load_state_dict(best_state)
+    final = {"val": _metrics(*best_val)}
     for split in ("test", "ghos"):
         if manifest.has_split(split):
             final[split] = evaluate(model, manifest, split, cfg.batch_size, cfg.bands)
@@ -407,7 +408,8 @@ def train(cfg: RunConfig, verbose: bool = False) -> RunResult:
 
 def lr_search(cfg: RunConfig, trials: int = 16, lr_range=(1e-5, 1e-2),
               budget_epochs: int = 10, seed: int = 0) -> tuple[float, list[dict]]:
-    """Log-uniform random sweep of fit-only trials; the best validation mIoU wins."""
+    """Log-uniform random sweep of fit-only trials, which copy no weights;
+    the best validation mIoU wins."""
     if trials < 1:
         raise ConfigError("need at least one trial")
     lo, hi = lr_range

@@ -4,10 +4,14 @@ session-cached training runs reused by the learning/generalization tests."""
 from __future__ import annotations
 
 import tracemalloc
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import replace
+from typing import NamedTuple
 
 import pytest
 
+from peftseg.autodiff import primitives
 from peftseg.backbone import BackboneConfig
 from peftseg.decoders import DecoderConfig
 from peftseg.peft import VitAdapterConfig
@@ -75,6 +79,51 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+class PrimitivePeak(NamedTuple):
+    """One primitive call: bytes traced when it began (``held``) and the
+    most it allocated on top of them before it returned (``transient``)."""
+    op: str
+    direction: str  # "forward" or "backward"
+    call: int  # 1-based, per op and direction
+    held: int
+    transient: int
+
+
+@contextmanager
+def primitive_peaks():
+    """Trace memory and yield a list that gets a ``PrimitivePeak`` for every
+    forward and backward rule run while the block is active.
+
+    Each registry entry is wrapped, keeping its ``saves``; the tracemalloc
+    peak is reset before each rule runs, so a row's ``held + transient`` is
+    the traced peak at that call, and the highest such row is the ceiling of
+    what ran. Run ``backward()`` inside the block too: only there is memory traced.
+    """
+    rows, counts = [], Counter()
+
+    def probed(op, direction, rule):
+        def run(*args):
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = rule(*args)
+            counts[op, direction] += 1
+            transient = tracemalloc.get_traced_memory()[1] - held
+            rows.append(PrimitivePeak(op, direction, counts[op, direction], held, transient))
+            return out
+        return run
+
+    originals = dict(primitives._REGISTRY)
+    for op, prim in originals.items():
+        primitives._REGISTRY[op] = replace(prim, forward=probed(op, "forward", prim.forward),
+                                           backward=probed(op, "backward", prim.backward))
+    tracemalloc.start()
+    try:
+        yield rows
+    finally:
+        tracemalloc.stop()
+        primitives._REGISTRY.update(originals)
 
 
 def desk_run_config(manifest, backbone, method, seed) -> RunConfig:

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from peftseg.autodiff import Tensor, functional as F, grad_check
+from peftseg.autodiff import Tensor, backward, functional as F, grad_check
 from peftseg.autodiff import primitives
 from peftseg.autodiff.primitives import _REGISTRY, COLUMN_BYTES
+
+from conftest import primitive_peaks
 
 
 # ---------------------------------------------------------------------------
@@ -379,3 +381,55 @@ def test_conv_backward_frees_the_weight_columns_before_the_input_gradient():
     finally:
         tracemalloc.stop()
     assert peak < gx.nbytes + gw.nbytes + 3 * COLUMN_BYTES
+
+
+# ---------------------------------------------------------------------------
+# 1x1 convs: one GEMM per image on the input as it lies, no columns
+
+POINTWISE_CASES = {
+    "classifier": ((8, 128, 32, 32), 2),  # the dense heads' last conv
+    "lateral": ((8, 64, 16, 16), 128),
+    "pooling_bin": ((8, 64, 2, 2), 128),
+    "small": ((3, 5, 7, 6), 4),
+    "image_above_the_tile": ((1, 512, 64, 64), 128),  # column path: bands and chunks
+}
+
+
+@pytest.mark.parametrize("case,dtype", [(case, np.float32) for case in sorted(POINTWISE_CASES)] + [
+    # float64 bands and chunks need not keep the whole GEMM's bits
+    (case, np.float64) for case in sorted(POINTWISE_CASES) if case != "image_above_the_tile"])
+@pytest.mark.parametrize("op", ["conv2d", "conv_transpose2d"])
+def test_pointwise_conv_keeps_the_bits_of_the_column_path(case, dtype, op, monkeypatch):
+    """A 1x1 conv's output and input gradient (for a transposed conv, the
+    gradient and the output) skip im2col and col2im with the column path's bytes."""
+    x_shape, o = POINTWISE_CASES[case]
+    rng = np.random.default_rng(x_shape[1])
+    x = rng.normal(size=x_shape).astype(dtype)
+    w_shape = (o, x_shape[1], 1, 1) if op == "conv2d" else (x_shape[1], o, 1, 1)
+    w = rng.normal(size=w_shape).astype(dtype)
+    prim = _REGISTRY[op]
+
+    def run():
+        y, ctx = prim.forward([x, w], {})
+        gy = np.random.default_rng(1).normal(size=y.shape).astype(dtype)
+        return (y,) + prim.backward([x, w], {}, ctx, gy, (True, True))
+
+    direct = run()
+    monkeypatch.setattr(primitives, "_pointwise", lambda *args: False)
+    for got, want in zip(direct, run()):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_pointwise_conv_backward_holds_only_its_gradients():
+    """The classifier's (128 -> 2) backward allocates at most its weight
+    gradient's 4 MB of columns above what it was given: the input gradient
+    reuses the input the rule frees (the column path allocated 8 MB)."""
+    rng = np.random.default_rng(13)
+    x = Tensor(rng.normal(size=(8, 128, 32, 32)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.normal(size=(2, 128, 1, 1)).astype(np.float32), requires_grad=True)
+    proj = Tensor(rng.normal(size=(8, 2, 32, 32)).astype(np.float32))
+    with primitive_peaks() as rows:
+        # the conv's input is an intermediate, so the rule owns and frees it
+        grads = backward(F.sum(F.mul(F.conv2d(F.scale(x, 1.0), w), proj)))
+    (row,) = [r for r in rows if r.op == "conv2d" and r.direction == "backward"]
+    assert row.transient <= grads[x].nbytes + grads[w].nbytes + 0.1 * 2**20, row

@@ -5,8 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from peftseg.autodiff import Tensor, apply_primitive, functional as F
+from peftseg.autodiff import Tensor, apply_primitive, backward, functional as F
+from peftseg.autodiff import primitives
 from peftseg.errors import ShapeError, UnknownPrimitiveError
+
+from conftest import primitive_peaks
 
 
 def t(arr, **kw):
@@ -212,3 +215,119 @@ def test_batch_norm_without_a_node_builds_only_its_output(training):
     assert lean.node is None and lean.data.tobytes() == recorded.data.tobytes()
     # training-mode statistics square a centred copy, the running ones need none
     assert peak < (2 if training else 1) * lean.data.nbytes + (1 << 20), peak
+
+
+# ---------------------------------------------------------------------------
+# batch norm's backward: the bits of the unfused formula, in one buffer
+
+
+def bn_backward_formula(xhat, inv, gamma, beta, g, needs, training, relu):
+    """Batch norm's input, gamma and beta gradients as full-size expressions."""
+    gamma4, beta4 = gamma.reshape(1, -1, 1, 1), beta.reshape(1, -1, 1, 1)
+    if relu:
+        g = g * (xhat * gamma4 + beta4 > 0)
+    gx = None
+    if needs[0]:
+        dxhat = g * gamma4
+        if training:
+            mean = dxhat.mean(axis=(0, 2, 3), keepdims=True)
+            m2 = (dxhat * xhat).mean(axis=(0, 2, 3), keepdims=True)
+            gx = (dxhat - mean - xhat * m2) * inv
+        else:
+            gx = dxhat * inv
+    ggamma = (g * xhat).sum(axis=(0, 2, 3)) if needs[1] else None
+    gbeta = g.sum(axis=(0, 2, 3)) if needs[2] else None
+    return gx, ggamma, gbeta, None, None
+
+
+@pytest.mark.parametrize("channels", [1, 3, 4, 130])
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("relu", [True, False])
+@pytest.mark.parametrize("needs", [(True, True, True), (True, False, False), (False, True, True),
+                                   (False, False, True)])
+@pytest.mark.parametrize("part_bytes", [None, 1])
+def test_batch_norm_backward_keeps_the_bits_of_the_full_size_formula(
+        channels, training, relu, needs, part_bytes, monkeypatch):
+    """The rule builds its gradient in place and its per-channel products in
+    slices of channels (of at least 4; ``part_bytes`` 1 makes every slice that
+    small); every gradient keeps the formula's bytes, and the upstream
+    gradient is left as it was."""
+    if part_bytes is not None:
+        monkeypatch.setattr(primitives, "_PART_BYTES", part_bytes)
+    rng = np.random.default_rng(channels)
+    x = rng.normal(1.0, 2.0, size=(4, channels, 9, 7)).astype(np.float32)
+    gamma, beta = rng.normal(size=channels).astype(np.float32), rng.normal(size=channels).astype(np.float32)
+    stats = [rng.normal(size=channels).astype(np.float32), rng.uniform(0.5, 2, size=channels).astype(np.float32)]
+    datas, attrs = [x, gamma, beta, *stats], {"training": training, "relu": relu}
+    y, ctx = primitives._REGISTRY["batch_norm2d"].forward(datas, attrs)
+    g = rng.normal(size=y.shape).astype(np.float32)
+    upstream = g.copy()
+    needs = needs + (False, False)
+    got = primitives._REGISTRY["batch_norm2d"].backward(datas, attrs, ctx, g, needs)
+    want = bn_backward_formula(*ctx, gamma, beta, upstream, needs, training, relu)
+    for a, b in zip(got, want):
+        assert (a is None) == (b is None)
+        assert a is None or (a.dtype == b.dtype and a.tobytes() == b.tobytes())
+    assert g.tobytes() == upstream.tobytes()
+
+
+def test_batch_norm_relu_backward_allocates_its_gradient_and_the_mask():
+    """At UperNet's fuse shape the rule holds, beside what it was given, its
+    4 MB gradient and the ReLU's 1 MB mask (the full-size formula: 12 MB)."""
+    rng = np.random.default_rng(9)
+    x = Tensor(rng.normal(size=(8, 128, 32, 32)).astype(np.float32), requires_grad=True)
+    gamma = Tensor(rng.normal(size=128).astype(np.float32), requires_grad=True)
+    beta = Tensor(rng.normal(size=128).astype(np.float32), requires_grad=True)
+    stats = t(np.zeros(128)), t(np.ones(128))
+    proj = t(rng.normal(size=x.shape))
+    with primitive_peaks() as rows:
+        backward(F.sum(F.mul(F.batch_norm2d(x, gamma, beta, *stats, training=True, relu=True), proj)))
+    (row,) = [r for r in rows if r.op == "batch_norm2d" and r.direction == "backward"]
+    assert row.transient <= 5.1 * 2**20, row
+
+
+# ---------------------------------------------------------------------------
+# bilinear resize over channel slices
+
+
+@pytest.mark.parametrize("shape,out_hw", [
+    ((32, 32, 32, 32), (64, 64)),  # UNet's last resize at batch 32
+    ((32, 128, 16, 16), (32, 32)),  # UperNet's fuse inputs at batch 32
+    ((32, 128, 8, 8), (32, 32)),
+    ((16, 64, 64, 64), (20, 20)),
+    ((8, 128, 2, 2), (32, 32)),  # a pyramid pooling bin: too few multiply-adds to split
+])
+@pytest.mark.parametrize("tile", [None, 1 << 20, 1])
+def test_bilinear_resize_slices_keep_the_unsplit_bits(shape, out_hw, tile, monkeypatch):
+    """Both passes run on channel slices of at most ``tile`` bytes (the
+    default column tile; 1 gives slices as thin as the split floor allows)
+    written into one result, with the bytes of the unsplit resize."""
+    rng = np.random.default_rng(10)
+    x = rng.normal(size=shape).astype(np.float32)
+    attrs = {"out_h": out_hw[0], "out_w": out_hw[1]}
+    resize = primitives._REGISTRY["bilinear_resize"]
+
+    def run(tile):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(primitives, "COLUMN_BYTES", tile)
+            y, ctx = resize.forward([x], attrs)
+            g = np.random.default_rng(11).normal(size=y.shape).astype(np.float32)
+            return y, resize.backward([x], attrs, ctx, g, (True,))[0]
+
+    whole = run(1 << 62)
+    for got, want in zip(run(tile or primitives.COLUMN_BYTES), whole):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_bilinear_resize_builds_no_full_size_intermediate():
+    """UNet's last resize at batch 32: a 16 MB output and temporaries of one
+    channel slice (before: two 16 MB passes on top of the output)."""
+    x = np.random.default_rng(12).normal(size=(32, 32, 32, 32)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        y, (ah, aw) = primitives._REGISTRY["bilinear_resize"].forward([x], {"out_h": 64, "out_w": 64})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(primitives._resize_parts(32, 32, ah, aw, 4)) > 1
+    assert peak <= y.nbytes + 2 * primitives.COLUMN_BYTES + (1 << 20), peak

@@ -643,14 +643,19 @@ def test_lr_search_deterministic(mini_manifest):
 
 
 def test_lr_search_trial_is_the_fit_alone(mini_manifest, monkeypatch):
-    """A trial runs no test or GHOS pass, and its score is the bits of the
-    best validation mIoU that ``train()`` reaches at the same rate and budget."""
+    """A trial runs no test or GHOS pass and copies no weights, and its score
+    is the bits of the best validation mIoU that ``train()`` reaches at the
+    same rate and budget."""
     from peftseg import training
+    from peftseg.model import SegmentationModel
 
-    def no_evaluate(*args, **kwargs):
-        raise AssertionError("lr_search ran evaluate()")
+    def refuse(what):
+        def run(*args, **kwargs):
+            raise AssertionError(f"lr_search ran {what}")
+        return run
 
-    monkeypatch.setattr(training, "evaluate", no_evaluate)
+    monkeypatch.setattr(training, "evaluate", refuse("evaluate()"))
+    monkeypatch.setattr(SegmentationModel, "snapshot", refuse("snapshot()"))
     cfg = mini_run(mini_manifest)
     _, table = lr_search(cfg, trials=3, budget_epochs=2, seed=4)
     monkeypatch.undo()
