@@ -887,33 +887,6 @@ def _interp_matrix(n_in, n_out, dtype):
     return m
 
 
-def _resize_parts(b, c, ah, aw, itemsize):
-    """Channel slices for either pass of a resize by ``ah`` and ``aw``: each
-    takes at most COLUMN_BYTES of input or output, and, as with the conv
-    tiles, every GEMM of a slice does more than _SPLIT_MACS multiply-adds and
-    is two rows or columns wide, so a slice keeps the whole pass's bits."""
-    (oh, h), (ow, w) = ah.shape, aw.shape
-    macs = b * min(oh * h * w, oh * w * ow, h * oh * ow, h * ow * w)
-    least = _least_units(macs, b * min(h, w, oh, ow))
-    return _chunks(c, b * max(h * w, oh * ow) * itemsize, COLUMN_BYTES, least)
-
-
-def _resize_pass(first, second, x, ah, aw, out_hw):
-    """``einsum(second, einsum(first, ah, x), aw)``, one separable pass of a
-    resize, run on channel slices of ``x`` written into one result."""
-    parts = _resize_parts(x.shape[0], x.shape[1], ah, aw, x.itemsize)
-
-    def run(xp):
-        return np.einsum(second, np.einsum(first, ah, xp, optimize=True), aw, optimize=True)
-
-    if len(parts) == 1:  # no copy into a second result
-        return run(x)
-    out = np.empty(x.shape[:2] + out_hw, dtype=np.result_type(x, ah, aw))
-    for p in parts:
-        out[:, p] = run(x[:, p])
-    return out
-
-
 def _bilinear_resize_fwd(datas, attrs):
     x = datas[0]
     if x.ndim != 4:
@@ -923,12 +896,14 @@ def _bilinear_resize_fwd(datas, attrs):
         raise _shape_err("bilinear_resize", f"invalid target ({oh},{ow})", x.shape)
     ah = _interp_matrix(x.shape[2], oh, x.dtype)
     aw = _interp_matrix(x.shape[3], ow, x.dtype)
-    return _resize_pass("oh,bchw->bcow", "bcow,pw->bcop", x, ah, aw, (oh, ow)), (ah, aw)
+    tmp = np.einsum("oh,bchw->bcow", ah, x, optimize=True)
+    return np.einsum("bcow,pw->bcop", tmp, aw, optimize=True), (ah, aw)
 
 
 def _bilinear_resize_bwd(datas, attrs, ctx, g, needs):
     ah, aw = ctx
-    return (_resize_pass("oh,bcop->bchp", "bchp,pw->bchw", g, ah, aw, (ah.shape[1], aw.shape[1])),)
+    tmp = np.einsum("oh,bcop->bchp", ah, g, optimize=True)
+    return (np.einsum("bchp,pw->bchw", tmp, aw, optimize=True),)
 
 
 def _reflect_pad2d_fwd(datas, attrs):

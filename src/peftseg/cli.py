@@ -162,8 +162,11 @@ def cmd_sweep(cfg: ProjectConfig, args, out: Path) -> int:
 
 
 def cmd_replicate(cfg: ProjectConfig, args, out: Path) -> int:
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")]
+    except ValueError:
+        raise ConfigError(f"--seeds must be comma-separated integers, got {args.seeds!r}") from None
     run_cfg = cfg.run_config()
-    seeds = [int(s) for s in args.seeds.split(",")]
     result = run_replicates(run_cfg, seeds=seeds)
     _write_json(out / "replicates.json", {
         "seeds": result.seeds,

@@ -7,6 +7,10 @@ downsampled by a strided convolution. The linear head is a single transposed
 convolution with no nonlinearity; the FCN head stacks transposed-conv blocks
 with 3x3 convolutions, channel layer norm, and GeLU; the pyramid heads follow
 the usual FPN+PPM and skip-connection designs with bilinear upsampling.
+Both pyramid heads classify at their finest level and resize the class
+logits to the input extent, not their features: bilinear weights are
+non-negative and sum to one, so a 1x1 conv with a bias commutes with the
+resize up to rounding.
 UperNet's PPM, lateral, smooth and fuse convs and every UNet conv but the
 classifier are conv-BN-ReLU blocks, whose batch norm applies the ReLU itself;
 only UperNet's scale-1 PPM conv is a plain conv-ReLU, because at batch 1 it
@@ -242,7 +246,8 @@ class UNetDecoder(Module):
     """Top-down decoding with skip concatenation: interpolate 2x, concatenate
     the next finer pyramid level, then two conv/batch-norm/ReLU stages. The
     first stage's conv reads the two maps as channel blocks, so the
-    concatenation is never built."""
+    concatenation is never built. The 1x1 classifier runs at the finest
+    pyramid level and its logits are resized to the input extent."""
 
     def __init__(self, rng: np.random.Generator, cfg: DecoderConfig, pyramid_channels: tuple[int, ...]):
         w0, w1, w2, w3 = cfg.unet_widths
@@ -266,8 +271,7 @@ class UNetDecoder(Module):
         for stage, skip in zip(self.stages, (p2, p1, p0)):
             x = F.bilinear_resize(x, skip.shape[2], skip.shape[3])
             x = stage["b"](stage["a"]([x, skip], training), training)
-        x = F.bilinear_resize(x, out_hw[0], out_hw[1])
-        return self.classifier(x)
+        return F.bilinear_resize(self.classifier(x), out_hw[0], out_hw[1])
 
 
 def build_decoder(rng: np.random.Generator, cfg: DecoderConfig, embed_dim: int,

@@ -21,7 +21,7 @@ from .backbone import BackboneConfig
 # unused here, but benchmark/tracer.py patches normalize, reflect_pad_to, subset_bands here
 from .data import DatasetManifest, normalize, reflect_pad_to, subset_bands
 from .decoders import DecoderConfig, build_head
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .model import SegmentationModel, build_model
 from .peft import (EXTRACTOR, METHODS, POLICIES, LoraConfig, VitAdapterConfig, VptConfig,
                    attachment_config, head_trains, normalize_policy)
@@ -205,6 +205,8 @@ def parameter_memory_report(backbone_cfg: BackboneConfig, decoder_cfg: DecoderCo
                             include_activations: bool = True) -> list[dict]:
     """One row per freeze policy: exact parameter counts, trainable-state
     element counts (grads + optimizer moments), and the activation estimate."""
+    if batch_size < 1:
+        raise ConfigError(f"batch size must be >= 1, got {batch_size}")
     encoder = encoder_param_count(backbone_cfg)
     rows = []
     for method in map(normalize_policy, methods or POLICIES):

@@ -293,6 +293,8 @@ def evaluate(model: SegmentationModel, manifest: DatasetManifest, split: str,
              batch_size: int = 8, bands=None) -> dict:
     """Confusion-matrix metrics over a whole split, read one batch at a time
     through a ``SplitView``, so memory does not grow with the split."""
+    if batch_size < 1:
+        raise ConfigError(f"batch size must be >= 1, got {batch_size}")
     if model.decoder_cfg.num_classes != manifest.num_classes:
         raise ConfigError(f"model has {model.decoder_cfg.num_classes} classes, "
                           f"dataset has {manifest.num_classes}")

@@ -13,6 +13,7 @@ from peftseg.config import ProjectConfig
 from peftseg.data import DatasetManifest
 from peftseg.decoders import DecoderConfig
 from peftseg.errors import ConfigError
+from peftseg.model import build_model
 from peftseg.peft import LoraConfig, VitAdapterConfig, VptConfig
 from peftseg.synthetic import SyntheticConfig
 from peftseg.training import RunConfig
@@ -271,6 +272,28 @@ def test_replicate_command(cli_workspace):
     assert payload["seeds"] == [0, 1]
     metrics = {row["metric"] for row in payload["rows"]}
     assert "val_miou" in metrics and "test_miou" in metrics
+
+
+@pytest.mark.parametrize("seeds", ["0,x", "", "0,,1"])
+def test_replicate_malformed_seeds_exit_2(cli_workspace, capsys, seeds):
+    root, cfg_path = cli_workspace
+    assert main(["replicate", "--config", str(cfg_path), "--out", str(root / "rp_bad"),
+                 "--seeds", seeds]) == 2
+    assert "config error: --seeds" in capsys.readouterr().err
+
+
+def test_eval_batch_size_zero_exits_2(cli_workspace, capsys):
+    root, cfg_path = cli_workspace
+    cfg = ProjectConfig.load(cfg_path)
+    manifest = cfg.load_manifest()
+    method, lora, vpt, adapter = cfg.peft_configs()
+    build_model(cfg.backbone_config(), cfg.decoder_config(manifest.num_classes), method,
+                lora_cfg=lora, vpt_cfg=vpt, adapter_cfg=adapter).save(root / "fresh_ckpt")
+    bad = write_cfg(root, cfg_path.read_text().replace("batch_size = 4", "batch_size = 0"),
+                    name="bad_batch.cfg")
+    assert main(["eval", "--config", str(bad), "--out", str(root / "e0"),
+                 "--checkpoint", str(root / "fresh_ckpt"), "--split", "test"]) == 2
+    assert "config error: batch size" in capsys.readouterr().err
 
 
 def test_every_command_writes_resolved_copy(tmp_path, monkeypatch):

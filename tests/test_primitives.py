@@ -8,6 +8,7 @@ import pytest
 from peftseg.autodiff import Tensor, apply_primitive, backward, functional as F
 from peftseg.autodiff import primitives
 from peftseg.errors import ShapeError, UnknownPrimitiveError
+from peftseg.nn import Conv2d
 
 from conftest import primitive_peaks
 
@@ -287,47 +288,17 @@ def test_batch_norm_relu_backward_allocates_its_gradient_and_the_mask():
 
 
 # ---------------------------------------------------------------------------
-# bilinear resize over channel slices
+# bilinear resize
 
 
-@pytest.mark.parametrize("shape,out_hw", [
-    ((32, 32, 32, 32), (64, 64)),  # UNet's last resize at batch 32
-    ((32, 128, 16, 16), (32, 32)),  # UperNet's fuse inputs at batch 32
-    ((32, 128, 8, 8), (32, 32)),
-    ((16, 64, 64, 64), (20, 20)),
-    ((8, 128, 2, 2), (32, 32)),  # a pyramid pooling bin: too few multiply-adds to split
-])
-@pytest.mark.parametrize("tile", [None, 1 << 20, 1])
-def test_bilinear_resize_slices_keep_the_unsplit_bits(shape, out_hw, tile, monkeypatch):
-    """Both passes run on channel slices of at most ``tile`` bytes (the
-    default column tile; 1 gives slices as thin as the split floor allows)
-    written into one result, with the bytes of the unsplit resize."""
-    rng = np.random.default_rng(10)
-    x = rng.normal(size=shape).astype(np.float32)
-    attrs = {"out_h": out_hw[0], "out_w": out_hw[1]}
-    resize = primitives._REGISTRY["bilinear_resize"]
-
-    def run(tile):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(primitives, "COLUMN_BYTES", tile)
-            y, ctx = resize.forward([x], attrs)
-            g = np.random.default_rng(11).normal(size=y.shape).astype(np.float32)
-            return y, resize.backward([x], attrs, ctx, g, (True,))[0]
-
-    whole = run(1 << 62)
-    for got, want in zip(run(tile or primitives.COLUMN_BYTES), whole):
-        assert got.tobytes() == want.tobytes()
-
-
-def test_bilinear_resize_builds_no_full_size_intermediate():
-    """UNet's last resize at batch 32: a 16 MB output and temporaries of one
-    channel slice (before: two 16 MB passes on top of the output)."""
-    x = np.random.default_rng(12).normal(size=(32, 32, 32, 32)).astype(np.float32)
-    tracemalloc.start()
-    try:
-        y, (ah, aw) = primitives._REGISTRY["bilinear_resize"].forward([x], {"out_h": 64, "out_w": 64})
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(primitives._resize_parts(32, 32, ah, aw, 4)) > 1
-    assert peak <= y.nbytes + 2 * primitives.COLUMN_BYTES + (1 << 20), peak
+def test_bilinear_resize_commutes_with_a_pointwise_conv():
+    """Bilinear weights are non-negative and sum to one per output pixel, so
+    a 1x1 conv with a bias may run before the resize or after it: the pyramid
+    heads classify first and resize K channels, not their features."""
+    rng = np.random.default_rng(12)
+    x = t(rng.normal(size=(3, 16, 7, 9)))
+    conv = Conv2d(rng, 16, 5, 1)
+    conv.bias.data[...] = rng.normal(size=5)
+    first = F.bilinear_resize(conv(x), 30, 20)
+    last = conv(F.bilinear_resize(x, 30, 20))
+    np.testing.assert_allclose(first.data, last.data, rtol=1e-5, atol=1e-5)

@@ -492,6 +492,24 @@ def test_evaluate_checks_the_class_count_before_reading_a_sample(mini_manifest, 
     assert reads == []
 
 
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_evaluate_rejects_a_batch_size_below_one_before_reading_a_sample(mini_manifest, monkeypatch,
+                                                                          batch_size):
+    """0 used to die in ``range()``; -1 read no batch and raised a MetricError."""
+    from peftseg.data import DatasetManifest
+    reads, real_load = [], DatasetManifest.load_sample
+
+    def counting(self, sample_id):
+        reads.append(sample_id)
+        return real_load(self, sample_id)
+
+    monkeypatch.setattr(DatasetManifest, "load_sample", counting)
+    model = build_model(tiny_backbone(image=(32, 32)), DecoderConfig("linear", 2), "linear_probe")
+    with pytest.raises(ConfigError, match="batch size"):
+        evaluate(model, mini_manifest, "val", batch_size=batch_size)
+    assert reads == []
+
+
 def test_evaluate_names_an_empty_split_and_a_corrupt_sample(mini_manifest, tmp_path):
     import copy
     model = build_model(tiny_backbone(image=(32, 32)), DecoderConfig("linear", 2), "linear_probe")
