@@ -302,3 +302,69 @@ def test_bilinear_resize_commutes_with_a_pointwise_conv():
     first = F.bilinear_resize(conv(x), 30, 20)
     last = conv(F.bilinear_resize(x, 30, 20))
     np.testing.assert_allclose(first.data, last.data, rtol=1e-5, atol=1e-5)
+
+
+# Resizes at the dense heads' sizes: a 32-channel map doubled, UperNet's fuse
+# inputs, a downsample to 20x20 and one pyramid pooling bin.
+HEAD_RESIZES = [
+    ((32, 32, 32, 32), (64, 64)),
+    ((32, 128, 16, 16), (32, 32)),
+    ((32, 128, 8, 8), (32, 32)),
+    ((16, 64, 64, 64), (20, 20)),
+    ((8, 128, 2, 2), (32, 32)),
+]
+
+
+def _neighbours(n_in, n_out):
+    """Each output index's two source indices and the upper one's weight
+    (half-pixel centers, clamped edges)."""
+    src = np.clip((np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5, 0.0, n_in - 1)
+    lo = np.floor(src).astype(int)
+    return lo, np.minimum(lo + 1, n_in - 1), src - lo
+
+
+def _resize_reference(x, out_h, out_w):
+    """Bilinear resize in float64 by gathering the two neighbours along each
+    axis, with no weight matrix."""
+    def along(a, axis, n_out):
+        lo, hi, frac = _neighbours(a.shape[axis], n_out)
+        frac = frac.reshape([-1 if d == axis else 1 for d in range(a.ndim)])
+        return (1.0 - frac) * np.take(a, lo, axis=axis) + frac * np.take(a, hi, axis=axis)
+
+    return along(along(x.astype(np.float64), 2, out_h), 3, out_w)
+
+
+def _resize_reference_backward(g, h, w):
+    """The resize's adjoint in float64: each output pixel's gradient is
+    scattered back onto its neighbours with the forward's weights."""
+    def along(a, axis, n_in):
+        lo, hi, frac = _neighbours(n_in, a.shape[axis])
+        a = np.moveaxis(a, axis, 0)
+        out = np.zeros((n_in,) + a.shape[1:])
+        for o in range(a.shape[0]):
+            out[lo[o]] += (1.0 - frac[o]) * a[o]
+            out[hi[o]] += frac[o] * a[o]
+        return np.moveaxis(out, 0, axis)
+
+    return along(along(g.astype(np.float64), 3, w), 2, h)
+
+
+@pytest.mark.parametrize("shape,out_hw", HEAD_RESIZES)
+def test_bilinear_resize_matches_a_gathered_reference(shape, out_hw):
+    x = np.random.default_rng(10).normal(size=shape).astype(np.float32)
+    y, _ = primitives._REGISTRY["bilinear_resize"].forward([x], {"out_h": out_hw[0], "out_w": out_hw[1]})
+    assert y.dtype == np.float32 and y.shape == shape[:2] + out_hw
+    np.testing.assert_allclose(y, _resize_reference(x, *out_hw), rtol=1e-5, atol=1e-5)
+
+
+@pytest.mark.parametrize("shape,out_hw", HEAD_RESIZES)
+def test_bilinear_resize_backward_matches_a_scattered_reference(shape, out_hw):
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=shape).astype(np.float32)
+    attrs = {"out_h": out_hw[0], "out_w": out_hw[1]}
+    resize = primitives._REGISTRY["bilinear_resize"]
+    y, ctx = resize.forward([x], attrs)
+    g = rng.normal(size=y.shape).astype(np.float32)
+    (gx,) = resize.backward([x], attrs, ctx, g, (True,))
+    assert gx.dtype == np.float32 and gx.shape == shape
+    np.testing.assert_allclose(gx, _resize_reference_backward(g, *shape[2:]), rtol=1e-5, atol=1e-5)
