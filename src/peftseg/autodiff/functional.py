@@ -9,7 +9,12 @@ layer is one ``matmul`` node: the bias, and any addend such as a LoRA
 layer's base output, are trailing inputs that the node adds into its own
 output in place, with the bits and the gradients of separate ``add`` nodes.
 A convolution over a channel concatenation takes the parts as a list of
-blocks instead, with the bits of the concatenation it never builds.
+blocks instead, with the bits of the concatenation it never builds. A
+convolution of bilinearly resized blocks (``resized_conv2d``) never builds
+the resized maps either: it runs the kernel's taps as 1x1 convs at each
+block's own extent and resizes their outputs with two constant ``matmul``s
+per kernel column, which cost a fraction of the full-extent conv's
+multiply-adds when the block is upsampled.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ShapeError
-from .primitives import apply_primitive
+from .primitives import _interp_matrix, apply_primitive
 from .tensor import Tensor
 
 
@@ -111,6 +116,68 @@ def conv2d(x, w: Tensor, bias: Tensor | None = None, stride: int = 1,
     if bias is not None:
         y = add(y, reshape(bias, (1, bias.shape[0], 1, 1)))
     return y
+
+
+def _shifted_interp(n_in: int, n_out: int, k: int, padding: int, dtype) -> np.ndarray:
+    """(k, n_out + 2*padding - k + 1, n_in): the bilinear weights of the rows a
+    k-tap kernel reads from the resized, zero-padded axis, one matrix per tap."""
+    padded = np.zeros((n_out + 2 * padding, n_in), dtype=dtype)
+    padded[padding:padding + n_out] = _interp_matrix(n_in, n_out, dtype)
+    m = n_out + 2 * padding - k + 1
+    return np.stack([padded[u:u + m] for u in range(k)])
+
+
+def resized_conv2d(x, w: Tensor, out_h: int, out_w: int, bias: Tensor | None = None,
+                   padding: int = 0) -> Tensor:
+    """``conv2d`` at stride 1 of ``x``, a tensor or a list of channel blocks,
+    each bilinearly resized to (out_h, out_w), without building a resized map.
+
+    A block already at that extent, where the resize is the identity, goes
+    through ``conv2d`` on its slice of ``w``. For any other block the conv of
+    its resized map is ``sum_{u,v} Bh_u (w[:, :, u, v] . x) Bw_v^T``, where
+    ``Bh_u`` and ``Bw_v`` are the interpolation matrices shifted by tap (u, v),
+    zero where the tap reads padding. Each kernel column v runs as a 1x1 conv
+    at the block's extent, with channels in (o, u) order, then one ``matmul``
+    against the constant (Ho, kh*h) stack of the ``Bh_u`` and one against
+    ``Bw_v^T``. That last ``matmul`` adds the sum so far and, once, the bias as
+    addends, so no ``add`` builds a second full-size output, and one column's
+    taps are alive at a time.
+    """
+    blocks = [x] if isinstance(x, Tensor) else list(x)
+    shapes = [b.shape for b in blocks]
+    if not blocks or w.ndim != 4 or any(len(s) != 4 for s in shapes):
+        raise ShapeError(f"resized_conv2d: input blocks {shapes} and kernel {w.shape} "
+                         "are not (B,C,h,w) and (O,C,kh,kw)")
+    o, c, kh, kw = w.shape
+    starts = np.cumsum([0] + [s[1] for s in shapes])
+    if starts[-1] != c:
+        raise ShapeError(f"resized_conv2d: channel mismatch (shapes {shapes}, {w.shape})")
+    if min(out_h, out_w) < 1 or min(out_h + 2 * padding - kh, out_w + 2 * padding - kw) < 0:
+        raise ShapeError(f"resized_conv2d: no output for kernel {w.shape} on ({out_h},{out_w}) "
+                         f"padded by {padding}")
+    bias = None if bias is None else reshape(bias, (1, o, 1, 1))
+    y = None
+    # blocks at the output's extent first: their conv starts the sum
+    for i in sorted(range(len(blocks)), key=lambda j: shapes[j][2:] != (out_h, out_w)):
+        (bsz, n, h, wd), lo = shapes[i], int(starts[i])
+        piece = w if n == c else slice_ranges(w, (None, (lo, lo + n), None, None))
+        if (h, wd) == (out_h, out_w):
+            direct = conv2d(blocks[i], piece, padding=padding)
+            y = direct if y is None else add(y, direct)
+            del direct  # only the sum holds it now
+            continue
+        rows = _shifted_interp(h, out_h, kh, padding, blocks[i].dtype)  # (kh, Ho, h)
+        cols = _shifted_interp(wd, out_w, kw, padding, blocks[i].dtype)  # (kw, Wo, w)
+        bh = Tensor(rows.transpose(1, 0, 2).reshape(rows.shape[1], kh * h))
+        columns = transpose(piece, (3, 0, 2, 1))  # (kw, O, kh, C)
+        for v in range(kw):
+            wv = reshape(slice_ranges(columns, ((v, v + 1), None, None, None)), (o * kh, n, 1, 1))
+            taps = reshape(conv2d(blocks[i], wv), (bsz, o, kh * h, wd))
+            # nested, so the (B, O, Ho, w) product and the old sum die with the call
+            y = matmul(matmul(bh, taps), Tensor(np.ascontiguousarray(cols[v].T)),
+                       *(t for t in (y, bias) if t is not None))
+            bias = None
+    return y if bias is None else add(y, bias)
 
 
 def conv_transpose2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1,

@@ -15,6 +15,10 @@ UperNet's PPM, lateral, smooth and fuse convs and every UNet conv but the
 classifier are conv-BN-ReLU blocks, whose batch norm applies the ReLU itself;
 only UperNet's scale-1 PPM conv is a plain conv-ReLU, because at batch 1 it
 sees a single value per channel, which batch norm cannot normalise.
+UperNet's fuse conv and UNet's first stage convs read their coarser inputs
+through ``F.resized_conv2d``: the upsampled maps are never built, and the
+kernel runs at the coarse extent, with a quarter to a sixty-fourth of the
+multiply-adds of convolving the upsampled maps. Only rounding changes.
 """
 
 from __future__ import annotations
@@ -214,22 +218,25 @@ class UperNetDecoder(Module):
             feats[i] = self.smooth[i](F.add(self.lateral[i](pyramid.maps[i], training),
                                             F.bilinear_resize(feats[i + 1], h, w)), training)
 
-        h0, w0 = feats[0].shape[2], feats[0].shape[3]
-        blocks = [feats[0]] + [F.bilinear_resize(f, h0, w0) for f in feats[1:]]
-        del feats  # the coarser levels are read only by their resizes
-        logits = self.classifier(self.fuse(blocks, training))
+        logits = self.classifier(self.fuse(feats, training, resize_to=feats[0].shape[2:]))
         return F.bilinear_resize(logits, out_hw[0], out_hw[1])
 
 
 class _ConvBnRelu(Module):
-    """A k x k conv padded by k // 2, then batch norm applying the ReLU itself."""
+    """A k x k conv padded by k // 2, then batch norm applying the ReLU itself.
+
+    Given ``resize_to``, each channel block of ``x`` is read as bilinearly
+    resized to that extent, which is never built (``F.resized_conv2d``)."""
 
     def __init__(self, rng, c_in, c_out, k: int = 3):
         self.conv = Conv2d(rng, c_in, c_out, k, padding=k // 2)
         self.bn = BatchNormRelu2d(c_out)
 
-    def __call__(self, x: Tensor | list[Tensor], training: bool) -> Tensor:
-        return self.bn(self.conv(x), training)
+    def __call__(self, x: Tensor | list[Tensor], training: bool, resize_to=None) -> Tensor:
+        conv = self.conv
+        y = conv(x) if resize_to is None else F.resized_conv2d(
+            x, conv.weight, *resize_to, conv.bias, padding=conv.padding)
+        return self.bn(y, training)
 
 
 class _ConvRelu(Module):
@@ -245,9 +252,10 @@ class _ConvRelu(Module):
 class UNetDecoder(Module):
     """Top-down decoding with skip concatenation: interpolate 2x, concatenate
     the next finer pyramid level, then two conv/batch-norm/ReLU stages. The
-    first stage's conv reads the two maps as channel blocks, so the
-    concatenation is never built. The 1x1 classifier runs at the finest
-    pyramid level and its logits are resized to the input extent."""
+    first stage's conv reads the coarse map and the skip as channel blocks
+    through ``resized_conv2d``, so neither the interpolated map nor the
+    concatenation is built. The 1x1 classifier runs at the finest pyramid
+    level and its logits are resized to the input extent."""
 
     def __init__(self, rng: np.random.Generator, cfg: DecoderConfig, pyramid_channels: tuple[int, ...]):
         w0, w1, w2, w3 = cfg.unet_widths
@@ -269,8 +277,7 @@ class UNetDecoder(Module):
         p0, p1, p2, p3 = pyramid.maps
         x = self.entry(p3, training)
         for stage, skip in zip(self.stages, (p2, p1, p0)):
-            x = F.bilinear_resize(x, skip.shape[2], skip.shape[3])
-            x = stage["b"](stage["a"]([x, skip], training), training)
+            x = stage["b"](stage["a"]([x, skip], training, resize_to=skip.shape[2:]), training)
         return F.bilinear_resize(self.classifier(x), out_hw[0], out_hw[1])
 
 

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from peftseg.autodiff import Tensor, backward, functional as F, grad_check
 from peftseg.autodiff import primitives
 from peftseg.autodiff.primitives import _REGISTRY, COLUMN_BYTES
+from peftseg.errors import ShapeError
 
 from conftest import primitive_peaks
 
@@ -433,3 +434,96 @@ def test_pointwise_conv_backward_holds_only_its_gradients():
         grads = backward(F.sum(F.mul(F.conv2d(F.scale(x, 1.0), w), proj)))
     (row,) = [r for r in rows if r.op == "conv2d" and r.direction == "backward"]
     assert row.transient <= grads[x].nbytes + grads[w].nbytes + 0.1 * 2**20, row
+
+
+# ---------------------------------------------------------------------------
+# the conv of a bilinearly resized map, which resized_conv2d never builds
+
+RESIZED_CASES = {  # input (B, C, h, w) -> resized extent
+    "upernet_16_to_32": ((2, 4, 16, 16), (32, 32)),
+    "upernet_8_to_32": ((2, 4, 8, 8), (32, 32)),
+    "upernet_4_to_32": ((2, 4, 4, 4), (32, 32)),
+    "unet_4_to_8": ((2, 4, 4, 4), (8, 8)),
+    "unet_8_to_16": ((2, 4, 8, 8), (16, 16)),
+    "unet_16_to_32": ((2, 4, 16, 16), (32, 32)),
+    "one_pixel_to_4": ((2, 4, 1, 1), (4, 4)),
+    "downsample_6_to_4": ((2, 4, 6, 6), (4, 4)),
+    "non_square_7x5_to_13x11": ((2, 4, 7, 5), (13, 11)),
+}
+
+
+def _output_and_grads(fn, arrays, proj):
+    """``fn``'s output on tensors of ``arrays`` and the gradients of
+    ``sum(fn(...) * proj)`` in each, in input order."""
+    leaves = [Tensor(a, requires_grad=True, dtype=a.dtype) for a in arrays]
+    y = fn(*leaves)
+    grads = backward(F.sum(F.mul(y, Tensor(proj, dtype=proj.dtype))))
+    return [y.data] + [grads[t] for t in leaves]
+
+
+def _assert_relatively_close(got, want, rtol):
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert a.dtype == b.dtype and a.shape == b.shape, i
+        scale = np.abs(b).max()
+        assert np.abs(a - b).max() <= rtol * scale, (i, np.abs(a - b).max() / scale)
+
+
+@pytest.mark.parametrize("dtype,rtol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+@pytest.mark.parametrize("case", sorted(RESIZED_CASES))
+def test_resized_conv_matches_resize_then_conv(case, dtype, rtol):
+    """Output, input gradient and weight gradient of a 3x3, padding-1 conv of
+    a resized map against resizing first, within a relative 1e-12 in float64
+    and 1e-5 in float32 of each array's largest magnitude."""
+    shape, (h, w) = RESIZED_CASES[case]
+    rng = np.random.default_rng(shape[2] * 100 + h)
+    x = rng.normal(size=shape).astype(dtype)
+    k = (rng.normal(size=(5, shape[1], 3, 3)) * 0.5).astype(dtype)
+    proj = rng.normal(size=(shape[0], 5, h, w)).astype(dtype)
+    got = _output_and_grads(lambda x, k: F.resized_conv2d(x, k, h, w, padding=1), (x, k), proj)
+    want = _output_and_grads(lambda x, k: F.conv2d(F.bilinear_resize(x, h, w), k, padding=1),
+                             (x, k), proj)
+    _assert_relatively_close(got, want, rtol)
+
+
+@pytest.mark.parametrize("extents", [
+    (8, 4, 2),  # UperNet's fuse: the full-extent block first
+    (4, 8),  # a UNet stage: the coarse block first
+    (8, 4, 8),  # two full-extent blocks, summed by an ``add``
+    (8,),  # no coarse block: the bias is an ``add``
+])
+def test_resized_conv_of_blocks_matches_resize_then_concat_then_conv(extents):
+    """Blocks at 8x8 and coarser, resized to 8x8, with a bias: the output and
+    every block's, the kernel's and the bias's gradients match resizing each
+    block and convolving the blocks, in float64."""
+    rng = np.random.default_rng(17)
+    shapes = [(2, 2 + i % 2, e, e) for i, e in enumerate(extents)]
+    arrays = [rng.normal(size=s) for s in shapes]
+    arrays += [rng.normal(size=(4, sum(s[1] for s in shapes), 3, 3)), rng.normal(size=4)]
+    proj = rng.normal(size=(2, 4, 8, 8))
+
+    def reference(*args):
+        *blocks, k, bias = args
+        return F.conv2d([F.bilinear_resize(b, 8, 8) for b in blocks], k, bias, padding=1)
+
+    def resized(*args):
+        *blocks, k, bias = args
+        return F.resized_conv2d(blocks, k, 8, 8, bias, padding=1)
+
+    _assert_relatively_close(_output_and_grads(resized, arrays, proj),
+                             _output_and_grads(reference, arrays, proj), 1e-12)
+
+
+@pytest.mark.parametrize("blocks,kernel", [
+    ([(1, 3, 4, 4)], (2, 4, 3, 3)),  # channels do not add up
+    ([(1, 3, 4)], (2, 3, 3, 3)),  # a block is not (B, C, h, w)
+])
+def test_resized_conv_rejects_bad_shapes(blocks, kernel):
+    with pytest.raises(ShapeError):
+        F.resized_conv2d([Tensor(np.zeros(s, dtype=np.float32)) for s in blocks],
+                         Tensor(np.zeros(kernel, dtype=np.float32)), 8, 8, padding=1)
+
+
+def test_resized_conv_rejects_an_extent_with_no_output():
+    with pytest.raises(ShapeError):
+        F.resized_conv2d(Tensor(np.zeros((1, 2, 2, 2), dtype=np.float32)),
+                         Tensor(np.zeros((1, 2, 5, 5), dtype=np.float32)), 3, 3, padding=0)

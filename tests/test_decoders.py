@@ -1,12 +1,14 @@
 """Neck and decoder heads: extents, parameter counts, structural checks."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from peftseg.autodiff import Tensor, backward, functional as F, no_grad, trace
+from peftseg.autodiff import primitives
 from peftseg.autodiff.primitives import is_linear_primitive
 from peftseg.decoders import (DecoderConfig, FeaturePyramid, Neck, build_decoder, build_head,
                               decode)
@@ -164,7 +166,7 @@ def test_unet_eval_forward_resizes_logits_not_features():
     """A fresh LoRA + UNet forward on 32 desk images under ``no_grad``. The
     classifier runs at the finest pyramid level, so the last resize builds
     two (32, 2, 64, 64) arrays, not two (32, 32, 64, 64) ones (34.2 MB
-    before, 26.2 MB after)."""
+    before, 26.2 MB after; 21.3 MB once the stage convs stopped resizing)."""
     model = build_model(tiny_backbone(), DecoderConfig("unet", 2), "lora")
     images = np.random.default_rng(13).normal(size=(32, 6, 64, 64)).astype(np.float32)
     tracemalloc.start()
@@ -176,6 +178,33 @@ def test_unet_eval_forward_resizes_logits_not_features():
         tracemalloc.stop()
     assert logits.shape == (32, 2, 64, 64)
     assert peak < 30 * 2**20, peak
+
+
+def test_upernet_eval_forward_never_resizes_its_fuse_blocks(monkeypatch):
+    """A fresh LoRA + UperNet forward on 32 desk images under ``no_grad``. The
+    fuse conv reads its three coarser levels through ``resized_conv2d``, so
+    the only (32, 128, 32, 32) resize left is the FPN's top-down upsample into
+    level 0, where there were four: 102.2 MB before, 80.6 MB after."""
+    model = build_model(tiny_backbone(), DecoderConfig("upernet", 2), "lora")
+    images = np.random.default_rng(13).normal(size=(32, 6, 64, 64)).astype(np.float32)
+    resize, resized = primitives._REGISTRY["bilinear_resize"], []
+
+    def recording(datas, attrs):
+        out = resize.forward(datas, attrs)
+        resized.append(out[0].shape)
+        return out
+
+    monkeypatch.setitem(primitives._REGISTRY, "bilinear_resize", replace(resize, forward=recording))
+    tracemalloc.start()
+    try:
+        with no_grad():
+            logits = model.forward(images, training=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert logits.shape == (32, 2, 64, 64)
+    assert resized.count((32, 128, 32, 32)) == 1, resized
+    assert peak < 81 * 2**20, peak
 
 
 def test_ppm_scale_one_branch_permutation_invariant():
@@ -235,14 +264,15 @@ def _step_arrays(kind, method):
 
 
 @pytest.mark.parametrize("method", ["lora", "full_finetune"])
-@pytest.mark.parametrize("kind", ["upernet", "unet"])
-def test_block_input_keeps_the_bits_of_concat_then_conv(kind, method, monkeypatch):
-    """UperNet's fuse and PPM fuse convs and UNet's stage convs read their parts
-    as channel blocks: no concat node, and every array of a step byte-equal to
-    concatenating the parts first."""
+def test_block_input_keeps_the_bits_of_concat_then_conv(method, monkeypatch):
+    """UperNet's PPM fuse conv reads its parts as channel blocks: no concat
+    node, and every array of a step byte-equal to concatenating the parts
+    first. (The fuse and UNet stage convs read theirs through
+    ``resized_conv2d``; see the next test.)"""
+    kind = "upernet"
     ops, blocks = _step_arrays(kind, method)
     block_convs = [n for op, n in ops if op == "conv2d" and n > 2]
-    assert block_convs == ([6, 5] if kind == "upernet" else [3, 3, 3]), block_convs
+    assert block_convs == [6], block_convs
 
     conv2d = F.conv2d
 
@@ -258,6 +288,37 @@ def test_block_input_keeps_the_bits_of_concat_then_conv(kind, method, monkeypatc
     for name, a in blocks.items():
         b = reference[name]
         assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes(), name
+
+
+def _resize_then_conv(x, w, out_h, out_w, bias=None, padding=0):
+    """``F.resized_conv2d`` as the resizes and the block conv it replaces."""
+    blocks = [x] if isinstance(x, Tensor) else list(x)
+    return F.conv2d([b if b.shape[2:] == (out_h, out_w) else F.bilinear_resize(b, out_h, out_w)
+                     for b in blocks], w, bias, padding=padding)
+
+
+@pytest.mark.parametrize("method", ["lora", "full_finetune"])
+@pytest.mark.parametrize("kind", ["upernet", "unet"])
+def test_resized_blocks_match_resize_then_conv(kind, method, monkeypatch):
+    """UperNet's fuse conv and UNet's stage-``a`` convs read their coarser
+    blocks through ``resized_conv2d``: no feature map is resized, and the
+    logits, the loss, the eval logits and every weight, gamma and beta
+    gradient of a step are within 1e-4 of each array's largest magnitude of
+    resizing first. Bias gradients are skipped: a conv bias before batch norm
+    and the attention key bias get only rounding noise."""
+    ops, arrays = _step_arrays(kind, method)
+    monkeypatch.setattr(F, "resized_conv2d", _resize_then_conv)
+    reference_ops, reference = _step_arrays(kind, method)
+    resizes = [op for op, _ in ops].count("bilinear_resize")
+    # three coarse blocks in either head: fuse's last three, one per UNet stage
+    assert [op for op, _ in reference_ops].count("bilinear_resize") == resizes + 3
+    assert resizes == (8 if kind == "upernet" else 1), resizes  # PPM, FPN and the logits
+    assert arrays.keys() == reference.keys()
+    for name, a in arrays.items():
+        b = reference[name]
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        if not name.endswith("bias"):
+            assert np.abs(a - b).max() <= 1e-4 * np.abs(b).max(), name
 
 
 @pytest.mark.parametrize("shape", [(2, 3, 5, 5), (2, 1, 5, 5), (2, 4, 5)])

@@ -181,13 +181,13 @@ def test_attention_scores_are_freed_before_backward(monkeypatch):
     assert x.grad is not None and np.isfinite(x.grad).all()
 
 
-def test_fuse_conv_frees_its_blocks_before_their_gradients(monkeypatch):
+def test_block_conv_frees_its_blocks_before_their_gradients(monkeypatch):
     """Backward drops a node's inputs before its rule runs, so the rule's saved
-    arrays have no other holder: UperNet's fuse conv frees its four input
-    blocks once the kernel's gradient is done, before the blocks' gradients
-    are allocated."""
+    arrays have no other holder: UperNet's PPM fuse conv frees its five input
+    blocks (the coarsest level and the four PPM branches) once the kernel's
+    gradient is done, before the blocks' gradients are allocated."""
     model = build_model(tiny_backbone(), DecoderConfig("upernet", 2), "lora", seed=0)
-    fuse_weight = model.decoder.fuse.conv.weight
+    fuse_weight = model.decoder.ppm_fuse.conv.weight
     blocks, seen = [], []
     conv2d, grad_x = F.conv2d, primitives._conv2d_grad_x
 
@@ -206,6 +206,6 @@ def test_fuse_conv_frees_its_blocks_before_their_gradients(monkeypatch):
     rng = np.random.default_rng(5)
     images = rng.normal(size=(2, 6, 64, 64)).astype(np.float32)
     loss = F.cross_entropy(model.forward(images, training=True), rng.integers(0, 2, size=(2, 64, 64)))
-    assert len(blocks) == 4 and all(ref() is not None for ref in blocks)  # the tape holds them
+    assert len(blocks) == 5 and all(ref() is not None for ref in blocks)  # the tape holds them
     backward(loss)
-    assert seen == [[True] * 4]
+    assert seen == [[True] * 5]
