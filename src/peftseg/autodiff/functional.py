@@ -8,13 +8,12 @@ tape node per call and gives the bytes of a separate ``scale``. A linear
 layer is one ``matmul`` node: the bias, and any addend such as a LoRA
 layer's base output, are trailing inputs that the node adds into its own
 output in place, with the bits and the gradients of separate ``add`` nodes.
-A convolution over a channel concatenation takes the parts as a list of
-blocks instead, with the bits of the concatenation it never builds. A
-convolution of bilinearly resized blocks (``resized_conv2d``) never builds
-the resized maps either: it runs the kernel's taps as 1x1 convs at each
-block's own extent and resizes their outputs with two constant ``matmul``s
-per kernel column, which cost a fraction of the full-extent conv's
-multiply-adds when the block is upsampled.
+A convolution takes one input; a caller convolving a channel concatenation
+builds it with ``concat`` first. A convolution of bilinearly resized blocks
+(``resized_conv2d``) never builds the resized maps: it runs the kernel's
+taps as 1x1 convs at each block's own extent and resizes their outputs with
+two constant ``matmul``s per kernel column, which cost a fraction of the
+full-extent conv's multiply-adds when the block is upsampled.
 """
 
 from __future__ import annotations
@@ -105,14 +104,9 @@ def batch_norm2d(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: Tensor,
                            {"eps": eps, "training": training, "relu": relu})
 
 
-def conv2d(x, w: Tensor, bias: Tensor | None = None, stride: int = 1,
+def conv2d(x: Tensor, w: Tensor, bias: Tensor | None = None, stride: int = 1,
            padding: int = 0) -> Tensor:
-    """Convolution of ``x``, a tensor or a list of channel blocks: a list is
-    read as its concatenation along channels, which is never built."""
-    blocks = [x] if isinstance(x, Tensor) else list(x)
-    if not blocks:
-        raise ShapeError("conv2d: no input blocks")
-    y = apply_primitive("conv2d", [blocks[0], w, *blocks[1:]], {"stride": stride, "padding": padding})
+    y = apply_primitive("conv2d", [x, w], {"stride": stride, "padding": padding})
     if bias is not None:
         y = add(y, reshape(bias, (1, bias.shape[0], 1, 1)))
     return y

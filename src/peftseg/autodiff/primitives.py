@@ -53,12 +53,6 @@ def _reads_other(needs):
     return (needs[1], needs[0]) + (False,) * (len(needs) - 2)
 
 
-def _reads_conv(needs):
-    """A conv rule reads its input blocks (inputs 0, 2, 3, ...) only for the
-    kernel's gradient, and the kernel only for a block's gradient."""
-    return (needs[1], needs[0] or any(needs[2:])) + (needs[1],) * (len(needs) - 2)
-
-
 def _reads_gamma(needs):
     """A normalisation rule reads only gamma, and only for the input's gradient."""
     return (False, needs[0]) + (False,) * (len(needs) - 2)
@@ -583,14 +577,11 @@ def _batch_norm2d_bwd(datas, attrs, ctx, g, needs):
 # contracts each chunk's (c, u, v) rows with the whole batch's (b, i, j)
 # columns in one GEMM.
 #
-# conv2d also takes its input as channel blocks, (x_0, w, x_1, ...), in place
-# of their concatenation, which is never built. Images, bands and chunks are
-# cut from the concatenation's shape; each tile's columns are filled from the
-# blocks it spans, and the adjoint in x scatters each chunk's rows to the
-# blocks they belong to. So every GEMM, and every bit, is the concatenation's.
-# The rule reads the blocks only for the adjoint in w; it owns its saved
-# arrays (see ``tensor.backward``), so it drops the blocks before it allocates
-# their gradients, and the two never coexist.
+# conv2d takes one input and a kernel; a caller convolving a channel
+# concatenation builds it with ``concat`` first. The rule reads the input
+# only for the adjoint in w; it owns its saved arrays (see
+# ``tensor.backward``), so it drops the input before it allocates the input's
+# gradient, and the two never coexist.
 #
 # A band or chunk computes each element with the same dot product as the
 # whole GEMM, but BLAS need not round it the same way: OpenBLAS hands a GEMM
@@ -641,6 +632,15 @@ def _conv_out_hw(h, w, kh, kw, stride, padding):
     return (h + 2 * padding - kh) // stride + 1, (w + 2 * padding - kw) // stride + 1
 
 
+def _stride_padding(op_id, attrs, *shapes):
+    """A conv's (stride, padding): ints, the stride at least 1 and the padding at least 0."""
+    s, p = attrs.get("stride", 1), attrs.get("padding", 0)
+    ints = all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) for n in (s, p))
+    if not (ints and s >= 1 and p >= 0):
+        raise _shape_err(op_id, f"stride {s!r} must be an int >= 1 and padding {p!r} an int >= 0", *shapes)
+    return s, p
+
+
 def _chunks(n, unit_bytes, limit, least=1):
     """Near-equal slices of ``n`` images, output rows or channels whose
     columns, ``unit_bytes`` each, take at most ``limit`` bytes (one unit at
@@ -669,46 +669,23 @@ def _taps(x, kh, kw, stride, padding, ho, wo):
             yield u, v, x[:, :, u:u + ho * stride:stride, v:v + wo * stride:stride]
 
 
-def _blocks(x):
-    """``x``, one array or a list of channel blocks, as a list of blocks."""
-    return [x] if isinstance(x, np.ndarray) else x
-
-
-def _spans(widths, part):
-    """(i, lo, hi, at) for each block i, of ``widths`` channels each, whose
-    channels lo:hi fall in the slice ``part`` of the blocks' concatenation,
-    starting ``at`` channels into that slice."""
-    start = 0
-    for i, n in enumerate(widths):
-        lo, hi = max(part.start - start, 0), min(part.stop - start, n)
-        if lo < hi:
-            yield i, lo, hi, start + lo - part.start
-        start += n
-
-
-def _image_cols(xs, kh, kw, stride, padding, ho, wo):
-    """(b, C*kh*kw, ho*wo) columns of a chunk of images, rows in (c, u, v)
-    order, C the channels of the blocks ``xs`` in order."""
-    b, c = xs[0].shape[0], sum(x.shape[1] for x in xs)
-    cols = np.empty((b, c, kh, kw, ho, wo), dtype=xs[0].dtype)
-    at = 0
-    for x in xs:
-        for u, v, tap in _taps(x, kh, kw, stride, padding, ho, wo):
-            cols[:, at:at + x.shape[1], u, v] = tap
-        at += x.shape[1]
+def _image_cols(x, kh, kw, stride, padding, ho, wo):
+    """(b, C*kh*kw, ho*wo) columns of a chunk of images, rows in (c, u, v) order."""
+    b, c = x.shape[:2]
+    cols = np.empty((b, c, kh, kw, ho, wo), dtype=x.dtype)
+    for u, v, tap in _taps(x, kh, kw, stride, padding, ho, wo):
+        cols[:, :, u, v] = tap
     return cols.reshape(b, c * kh * kw, ho * wo)
 
 
-def _channel_cols(xs, part, kh, kw, stride, padding, ho, wo):
-    """(C*kh*kw, B*ho*wo) columns of the channels ``part`` of the blocks'
-    concatenation across the batch, rows in (c, u, v) order and columns in
-    (b, i, j) order."""
-    b = xs[0].shape[0]
-    cols = np.empty((part.stop - part.start, kh, kw, b, ho, wo), dtype=xs[0].dtype)
-    for i, lo, hi, at in _spans([x.shape[1] for x in xs], part):
-        for u, v, tap in _taps(xs[i][:, lo:hi], kh, kw, stride, padding, ho, wo):
-            cols[at:at + hi - lo, u, v] = tap.transpose(1, 0, 2, 3)
-    return cols.reshape(-1, b * ho * wo)
+def _channel_cols(x, kh, kw, stride, padding, ho, wo):
+    """(C*kh*kw, B*ho*wo) columns of a chunk of channels across the batch,
+    rows in (c, u, v) order and columns in (b, i, j) order."""
+    b, c = x.shape[:2]
+    cols = np.empty((c, kh, kw, b, ho, wo), dtype=x.dtype)
+    for u, v, tap in _taps(x, kh, kw, stride, padding, ho, wo):
+        cols[:, u, v] = tap.transpose(1, 0, 2, 3)
+    return cols.reshape(c * kh * kw, b * ho * wo)
 
 
 def _col2im(cols, x_shape, kh, kw, stride, padding):
@@ -723,120 +700,98 @@ def _col2im(cols, x_shape, kh, kw, stride, padding):
     return gxp[:, :, padding:padding + h, padding:padding + wd]
 
 
-def _pointwise(xs, kh, kw, stride, padding):
-    """Whether a conv of the blocks ``xs`` can run one GEMM per image on the
-    input as it lies: one block, kernel 1, stride 1 and no padding, where the
-    columns would copy the image. Those are the column path's GEMMs, or, for
-    an image above the tile, GEMMs whose bits its bands and chunks keep."""
-    return len(xs) == 1 and kh == kw == stride == 1 and padding == 0
+def _pointwise(kh, kw, stride, padding):
+    """Whether a conv can run one GEMM per image on the input as it lies:
+    kernel 1, stride 1 and no padding, where the columns would copy the
+    image. Those are the column path's GEMMs, or, for an image above the
+    tile, GEMMs whose bits its bands and chunks keep."""
+    return kh == kw == stride == 1 and padding == 0
 
 
 def _conv2d_core(x, w, stride, padding):
-    """The forward map of ``x``, one array or a list of channel blocks."""
-    xs = _blocks(x)
-    b, _, h, wd = xs[0].shape
-    o, c, kh, kw = w.shape
+    b, c, h, wd = x.shape
+    o, _, kh, kw = w.shape
     ho, wo = _conv_out_hw(h, wd, kh, kw, stride, padding)
     w2 = w.reshape(o, c * kh * kw)
-    out = np.empty((b, o, ho, wo), dtype=np.result_type(xs[0], w))
-    if _pointwise(xs, kh, kw, stride, padding):
-        np.matmul(w2, np.ascontiguousarray(xs[0]).reshape(b, c, h * wd), out=out.reshape(b, o, ho * wo))
+    out = np.empty((b, o, ho, wo), dtype=np.result_type(x, w))
+    if _pointwise(kh, kw, stride, padding):
+        np.matmul(w2, np.ascontiguousarray(x).reshape(b, c, h * wd), out=out.reshape(b, o, ho * wo))
         return out
-    row_bytes = w2.shape[1] * wo * xs[0].itemsize
+    row_bytes = w2.shape[1] * wo * x.itemsize
     least = _least_units(o * w2.shape[1] * wo, wo)
     for imgs in _chunks(b, ho * row_bytes, COLUMN_BYTES):
-        n, xps = imgs.stop - imgs.start, [_pad_hw(x[imgs], padding) for x in xs]
+        n, xp = imgs.stop - imgs.start, _pad_hw(x[imgs], padding)
         for rows in _chunks(ho, n * row_bytes, COLUMN_BYTES, least):  # one band if the images fit
             m = rows.stop - rows.start
-            bands = [xp[:, :, rows.start * stride:(rows.stop - 1) * stride + kh] for xp in xps]
-            np.matmul(w2, _image_cols(bands, kh, kw, stride, 0, m, wo),
+            band = xp[:, :, rows.start * stride:(rows.stop - 1) * stride + kh]
+            np.matmul(w2, _image_cols(band, kh, kw, stride, 0, m, wo),
                       out=out[imgs, :, rows].reshape(n, o, m * wo))
     return out
 
 
-def _conv2d_grad_x(gy, w, stride, padding, x_shape, widths=None):
-    """The adjoint in x: the gradient of an input of ``x_shape``, or, given
-    ``widths``, a list of the gradients of that input's channel blocks of
-    those widths."""
+def _conv2d_grad_x(gy, w, stride, padding, x_shape):
+    """The adjoint in x: the gradient of an input of ``x_shape``."""
     b, c = x_shape[:2]
     o, _, kh, kw = w.shape
     k, ho, wo = kh * kw, gy.shape[2], gy.shape[3]
     w2t = w.reshape(o, c * k).T
     g2 = gy.reshape(b, o, ho * wo)
-    dtype = np.result_type(gy, w)
-    gxs = [np.empty((b, n, *x_shape[2:]), dtype=dtype) for n in widths or [c]]
-    if _pointwise(gxs, kh, kw, stride, padding):
-        np.matmul(w2t, g2, out=gxs[0].reshape(b, c, ho * wo))
-        return gxs if widths else gxs[0]
-    channel_bytes = k * ho * wo * dtype.itemsize
+    gx = np.empty(x_shape, dtype=np.result_type(gy, w))
+    if _pointwise(kh, kw, stride, padding):
+        np.matmul(w2t, g2, out=gx.reshape(b, c, ho * wo))
+        return gx
+    channel_bytes = k * ho * wo * gx.itemsize
     least = _least_units(k * ho * wo * o, k)
     for imgs in _chunks(b, c * channel_bytes, COLUMN_BYTES):
         n = imgs.stop - imgs.start
         for chans in _chunks(c, n * channel_bytes, COLUMN_BYTES, least):  # one chunk if the images fit
+            dst = gx[imgs, chans]
             cols = np.matmul(w2t[chans.start * k:chans.stop * k], g2[imgs])
-            for i, lo, hi, at in _spans([gx.shape[1] for gx in gxs], chans):
-                dst = gxs[i][imgs, lo:hi]
-                dst[...] = _col2im(cols[:, at * k:(at + hi - lo) * k], dst.shape, kh, kw, stride, padding)
-    return gxs if widths else gxs[0]
+            dst[...] = _col2im(cols, dst.shape, kh, kw, stride, padding)
+    return gx
 
 
 def _conv2d_grad_w(x, gy, stride, padding, w_shape):
-    """The adjoint in w, for ``x`` one array or a list of channel blocks."""
-    xs = _blocks(x)
+    """The adjoint in w."""
     o, c, kh, kw = w_shape
     b, ho, wo = gy.shape[0], gy.shape[2], gy.shape[3]
     g2 = gy.transpose(0, 2, 3, 1).reshape(b * ho * wo, o)
-    gw = np.empty((c, kh, kw, o), dtype=np.result_type(xs[0], gy))
+    gw = np.empty((c, kh, kw, o), dtype=np.result_type(x, gy))
     unit = kh * kw * b * ho * wo
-    for part in _chunks(c, unit * xs[0].itemsize, COLUMN_BYTES, _least_units(unit * o, kh * kw)):
-        np.matmul(_channel_cols(xs, part, kh, kw, stride, padding, ho, wo), g2,
+    for part in _chunks(c, unit * x.itemsize, COLUMN_BYTES, _least_units(unit * o, kh * kw)):
+        np.matmul(_channel_cols(x[:, part], kh, kw, stride, padding, ho, wo), g2,
                   out=gw[part].reshape(-1, o))
     return gw.transpose(3, 0, 1, 2)
 
 
 def _conv2d_fwd(datas, attrs):
-    """The convolution of inputs (x_0, w, x_1, ...): x_0, x_1, ... are
-    channel blocks of one input, read in place of their concatenation."""
-    w, blocks = datas[1], [datas[0], *datas[2:]]
-    shapes = [x.shape for x in blocks]
-    if w.ndim != 4 or any(len(s) != 4 for s in shapes):
-        raise _shape_err("conv2d", "input blocks must be (B,C,H,W), kernel (O,C,kh,kw)", *shapes, w.shape)
-    if len({(s[0],) + s[2:] for s in shapes}) > 1:
-        raise _shape_err("conv2d", "input blocks disagree in batch or extent", *shapes, w.shape)
-    if len({x.dtype for x in blocks}) > 1:
-        dtypes = ", ".join(x.dtype.name for x in blocks)
-        raise _shape_err("conv2d", f"input blocks disagree in dtype ({dtypes})", *shapes, w.shape)
-    if sum(s[1] for s in shapes) != w.shape[1]:
-        raise _shape_err("conv2d", "channel mismatch", *shapes, w.shape)
-    s, p = attrs.get("stride", 1), attrs.get("padding", 0)
-    if shapes[0][2] + 2 * p < w.shape[2] or shapes[0][3] + 2 * p < w.shape[3]:
-        raise _shape_err("conv2d", f"kernel larger than input padded by {p}", *shapes, w.shape)
-    return _conv2d_core(blocks, w, s, p), None
+    x, w = datas
+    if x.ndim != 4 or w.ndim != 4:
+        raise _shape_err("conv2d", "input must be (B,C,H,W), kernel (O,C,kh,kw)", x.shape, w.shape)
+    if x.shape[1] != w.shape[1]:
+        raise _shape_err("conv2d", "channel mismatch", x.shape, w.shape)
+    s, p = _stride_padding("conv2d", attrs, x.shape, w.shape)
+    if x.shape[2] + 2 * p < w.shape[2] or x.shape[3] + 2 * p < w.shape[3]:
+        raise _shape_err("conv2d", f"kernel larger than input padded by {p}", x.shape, w.shape)
+    return _conv2d_core(x, w, s, p), None
 
 
 def _conv2d_bwd(datas, attrs, ctx, g, needs):
-    """The rule owns ``datas``: it reads the input blocks for the kernel's
-    gradient, then drops them before it allocates the blocks' gradients."""
+    """The rule owns ``datas``: it reads the input for the kernel's gradient,
+    then drops it before it allocates the input's gradient."""
     w, s, p = datas[1], attrs.get("stride", 1), attrs.get("padding", 0)
-    block_needs = (needs[0], *needs[2:])
-    b, _, h, wd = datas[0].shape
-    widths = [datas[0].shape[1]] + [d.shape[1] for d in datas[2:]]
+    x_shape = datas[0].shape
     g = _flush_subnormals(g)
-    gw = _flush_subnormals(_conv2d_grad_w([datas[0], *datas[2:]], g, s, p, w.shape)) if needs[1] else None
-    datas[:] = [None, w] + [None] * (len(datas) - 2)
-    gxs = [None] * len(widths)
-    if any(block_needs):
-        gxs = _conv2d_grad_x(g, w, s, p, (b, w.shape[1], h, wd), widths)
-    gxs = [_flush_subnormals(gx) if need else None for gx, need in zip(gxs, block_needs)]
-    return (gxs[0], gw, *gxs[1:])
+    gw = _flush_subnormals(_conv2d_grad_w(datas[0], g, s, p, w.shape)) if needs[1] else None
+    datas[0] = None
+    gx = _flush_subnormals(_conv2d_grad_x(g, w, s, p, x_shape)) if needs[0] else None
+    return gx, gw
 
 
-def _convt_out_hw(x, w, attrs):
-    s, p = attrs.get("stride", 1), attrs.get("padding", 0)
+def _convt_out_hw(x, w, s, p, out):
     kh, kw = w.shape[2], w.shape[3]
     base_h = (x.shape[2] - 1) * s - 2 * p + kh
     base_w = (x.shape[3] - 1) * s - 2 * p + kw
-    out = attrs.get("output_size")
     if out is None:
         return base_h, base_w
     oh, ow = out
@@ -851,8 +806,8 @@ def _conv_transpose2d_fwd(datas, attrs):
         raise _shape_err("conv_transpose2d", "input must be (B,C,H,W), kernel (C,O,kh,kw)", x.shape, w.shape)
     if x.shape[1] != w.shape[0]:
         raise _shape_err("conv_transpose2d", "channel mismatch", x.shape, w.shape)
-    s, p = attrs.get("stride", 1), attrs.get("padding", 0)
-    oh, ow = _convt_out_hw(x, w, attrs)
+    s, p = _stride_padding("conv_transpose2d", attrs, x.shape, w.shape)
+    oh, ow = _convt_out_hw(x, w, s, p, attrs.get("output_size"))
     out_shape = (x.shape[0], w.shape[1], oh, ow)
     return _conv2d_grad_x(x, w, s, p, out_shape), None
 
@@ -1041,7 +996,7 @@ _register("softmax", _softmax_fwd, _softmax_bwd, _reads_none)
 _register("log_softmax", _log_softmax_fwd, _log_softmax_bwd, _reads_none)
 _register("layer_norm", _layer_norm_fwd, _layer_norm_bwd, _reads_gamma)
 _register("batch_norm2d", _batch_norm2d_fwd, _batch_norm2d_bwd, _reads_affine)
-_register("conv2d", _conv2d_fwd, _conv2d_bwd, _reads_conv, linear=True)
+_register("conv2d", _conv2d_fwd, _conv2d_bwd, _reads_other, linear=True)
 _register("conv_transpose2d", _conv_transpose2d_fwd, _conv_transpose2d_bwd, _reads_other, linear=True)
 _register("bilinear_resize", _bilinear_resize_fwd, _bilinear_resize_bwd, _reads_none, linear=True)
 _register("reflect_pad2d", _reflect_pad2d_fwd, _reflect_pad2d_bwd, _reads_none, linear=True)

@@ -210,7 +210,8 @@ class UperNetDecoder(Module):
 
     def __call__(self, pyramid: FeaturePyramid, out_hw: tuple[int, int], training: bool = False) -> Tensor:
         p3 = pyramid.maps[3]
-        feats = [None, None, None, self.ppm_fuse([p3] + self._ppm_branches(p3, training), training)]
+        feats = [None, None, None, self.ppm_fuse(
+            F.concat([p3, *self._ppm_branches(p3, training)], axis=1), training)]
         # the lateral output and the upsampled map are temporaries, freed
         # once their sum exists (no rule reads them)
         for i in (2, 1, 0):

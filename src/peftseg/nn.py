@@ -84,8 +84,8 @@ class Conv2d(Module):
         self.stride = stride
         self.padding = padding
 
-    def __call__(self, x: Tensor | list[Tensor]) -> Tensor:
-        """The conv of ``x``, or of a list of channel blocks read as their concatenation."""
+    def __call__(self, x: Tensor) -> Tensor:
+        """The conv of one (B, C, H, W) input; parts are joined with ``F.concat`` first."""
         return F.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
 
 

@@ -219,18 +219,6 @@ def _gradcheck_case(op_id: str, rng: np.random.Generator):
         c = pt((1, 3, 3, 3))
         return pt((1, 2, 5, 5)), lambda x: F.sum(F.mul(
             F.conv2d(x, w, stride=2, padding=1), c))
-    if op_id == "conv2d 2 blocks":  # the point reaches both channel blocks of one node
-        w = pt((3, 3, 3, 3), scale=0.5)
-        c = pt((1, 3, 3, 3))
-        return pt((1, 3, 5, 5)), lambda x: F.sum(F.mul(F.conv2d(
-            [F.slice_ranges(x, (None, (0, 1), None, None)),
-             F.slice_ranges(x, (None, (1, 3), None, None))], w, stride=2, padding=1), c))
-    if op_id == "conv2d 4 blocks":
-        w = pt((2, 5, 3, 3), scale=0.5)
-        c = pt((1, 2, 4, 4))
-        cuts = ((0, 1), (1, 3), (3, 4), (4, 5))
-        return pt((1, 5, 4, 4)), lambda x: F.sum(F.mul(F.conv2d(
-            [F.slice_ranges(x, (None, cut, None, None)) for cut in cuts], w, padding=1), c))
     if op_id == "resized_conv2d":  # the composite of a conv over a resized map
         w = pt((3, 2, 3, 3), scale=0.5)
         c = pt((1, 3, 5, 7))
@@ -274,8 +262,7 @@ def _gradcheck_case(op_id: str, rng: np.random.Generator):
 def test_criterion_3_gradients_and_adjoint():
     worst = {}
     for op_id in (*registered_primitives(), "softmax alpha", "batch_norm2d relu", "matmul bias",
-                  "matmul bias addend", "conv2d 2 blocks", "conv2d 4 blocks", "resized_conv2d",
-                  "resized_conv2d weight"):
+                  "matmul bias addend", "resized_conv2d", "resized_conv2d weight"):
         errs = []
         for instance in range(20):
             rng = np.random.default_rng(zlib.crc32(f"{op_id}/{instance}".encode()))

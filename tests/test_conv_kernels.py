@@ -503,7 +503,7 @@ def test_resized_conv_of_blocks_matches_resize_then_concat_then_conv(extents):
 
     def reference(*args):
         *blocks, k, bias = args
-        return F.conv2d([F.bilinear_resize(b, 8, 8) for b in blocks], k, bias, padding=1)
+        return F.conv2d(F.concat([F.bilinear_resize(b, 8, 8) for b in blocks], axis=1), k, bias, padding=1)
 
     def resized(*args):
         *blocks, k, bias = args

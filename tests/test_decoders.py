@@ -264,37 +264,28 @@ def _step_arrays(kind, method):
 
 
 @pytest.mark.parametrize("method", ["lora", "full_finetune"])
-def test_block_input_keeps_the_bits_of_concat_then_conv(method, monkeypatch):
-    """UperNet's PPM fuse conv reads its parts as channel blocks: no concat
-    node, and every array of a step byte-equal to concatenating the parts
-    first. (The fuse and UNet stage convs read theirs through
+def test_ppm_fuse_convolves_one_concat_of_its_parts(method):
+    """UperNet's PPM fuse conv reads one ``concat`` node of its five parts (the
+    coarsest level and the four PPM branches), and every conv node of a step
+    has exactly its input and kernel. (The fuse conv reads its blocks through
     ``resized_conv2d``; see the next test.)"""
-    kind = "upernet"
-    ops, blocks = _step_arrays(kind, method)
-    block_convs = [n for op, n in ops if op == "conv2d" and n > 2]
-    assert block_convs == [6], block_convs
-
-    conv2d = F.conv2d
-
-    def concat_then_conv(x, w, *args, **kwargs):
-        return conv2d(x if isinstance(x, Tensor) else F.concat(x, axis=1), w, *args, **kwargs)
-
-    monkeypatch.setattr(F, "conv2d", concat_then_conv)
-    reference_ops, reference = _step_arrays(kind, method)
-    assert reference_ops.count(("conv2d", 2)) == ops.count(("conv2d", 2)) + len(block_convs)
-    concats = [op for op, _ in reference_ops if op == "concat"]
-    assert len(concats) == [op for op, _ in ops].count("concat") + len(block_convs)
-    assert blocks.keys() == reference.keys()
-    for name, a in blocks.items():
-        b = reference[name]
-        assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes(), name
+    model = build_model(tiny_backbone(), DecoderConfig("upernet", 2), method, seed=0)
+    rng = np.random.default_rng(6)
+    logits = model.forward(rng.normal(size=(2, 6, 64, 64)).astype(np.float32), training=True)
+    nodes = trace(F.cross_entropy(logits, rng.integers(0, 2, size=(2, 64, 64)))).nodes
+    convs = [n for n in nodes if n.op_id == "conv2d"]
+    assert all(len(n.inputs) == 2 for n in convs), [len(n.inputs) for n in convs]
+    fuse = [n for n in convs if n.inputs[1] is model.decoder.ppm_fuse.conv.weight]
+    assert len(fuse) == 1
+    parts = fuse[0].inputs[0].node
+    assert parts.op_id == "concat" and len(parts.inputs) == 5
 
 
 def _resize_then_conv(x, w, out_h, out_w, bias=None, padding=0):
     """``F.resized_conv2d`` as the resizes and the block conv it replaces."""
     blocks = [x] if isinstance(x, Tensor) else list(x)
-    return F.conv2d([b if b.shape[2:] == (out_h, out_w) else F.bilinear_resize(b, out_h, out_w)
-                     for b in blocks], w, bias, padding=padding)
+    return F.conv2d(F.concat([b if b.shape[2:] == (out_h, out_w) else F.bilinear_resize(b, out_h, out_w)
+                              for b in blocks], axis=1), w, bias, padding=padding)
 
 
 @pytest.mark.parametrize("method", ["lora", "full_finetune"])

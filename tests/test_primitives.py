@@ -7,7 +7,7 @@ import pytest
 
 from peftseg.autodiff import Tensor, apply_primitive, backward, functional as F
 from peftseg.autodiff import primitives
-from peftseg.errors import ShapeError, UnknownPrimitiveError
+from peftseg.errors import InputTypeError, ShapeError, UnknownPrimitiveError
 from peftseg.nn import Conv2d
 
 from conftest import primitive_peaks
@@ -53,38 +53,32 @@ def test_shape_mismatch_reports_op_and_shapes():
     assert "matmul" in msg and "(2, 3)" in msg and "(4, 2)" in msg
 
 
-@pytest.mark.parametrize("shapes, dtypes, what", [
-    (((2, 1, 5, 5), (3, 2, 5, 5)), (np.float32, np.float32), "batch"),
-    (((2, 1, 5, 5), (2, 2, 4, 5)), (np.float32, np.float32), "extent"),
-    (((2, 1, 5, 5), (2, 2, 5, 5)), (np.float32, np.float64), "dtype"),
-    (((2, 1, 5, 5), (2, 1, 5, 5), (2, 2, 5, 5)), (np.float32,) * 3, "channel"),
-    (((2, 1, 5, 5), (2, 2, 5)), (np.float32, np.float32), "rank"),
+def test_conv2d_rejects_a_list_of_blocks():
+    """conv2d takes one input: parts are concatenated with ``F.concat`` first."""
+    a, b = t(np.zeros((2, 1, 5, 5))), t(np.zeros((2, 2, 5, 5)))
+    with pytest.raises(InputTypeError, match="conv2d"):
+        F.conv2d([a, b], t(np.zeros((4, 3, 3, 3))), padding=1)
+
+
+@pytest.mark.parametrize("x_shape, w_shape, padding", [
+    ((2, 3, 5), (4, 3, 3, 3), 1),  # rank
+    ((2, 2, 5, 5), (4, 3, 3, 3), 1),  # channel mismatch
+    ((2, 3, 2, 2), (4, 3, 5, 5), 1),  # kernel larger than the padded input
 ])
-def test_conv2d_rejects_blocks_that_do_not_make_one_input(shapes, dtypes, what):
-    """A list of channel blocks must read as one (B, C, H, W) input with the
-    kernel's channel count: anything else names conv2d and every block's shape."""
-    w = t(np.zeros((4, 3, 3, 3)))
-    blocks = [Tensor(np.zeros(s, dtype=d)) for s, d in zip(shapes, dtypes)]
+def test_conv2d_rejects_bad_shapes(x_shape, w_shape, padding):
     with pytest.raises(ShapeError) as err:
-        F.conv2d(blocks, w, padding=1)
+        F.conv2d(t(np.zeros(x_shape)), t(np.zeros(w_shape)), padding=padding)
     msg = str(err.value)
-    assert "conv2d" in msg and all(str(s) in msg for s in shapes), msg
-    if what == "dtype":
-        assert "float32" in msg and "float64" in msg, msg
+    assert "conv2d" in msg and str(x_shape) in msg and str(w_shape) in msg, msg
 
 
-def test_conv2d_rejects_an_empty_block_list():
-    with pytest.raises(ShapeError, match="conv2d"):
-        F.conv2d([], t(np.zeros((4, 3, 3, 3))))
-
-
-def test_conv2d_of_blocks_is_the_conv_of_their_concatenation():
-    rng = np.random.default_rng(4)
-    parts = [rng.normal(size=(2, c, 7, 6)).astype(np.float32) for c in (3, 1, 2)]
-    w, b = rng.normal(size=(5, 6, 3, 3)).astype(np.float32), rng.normal(size=5).astype(np.float32)
-    whole = F.conv2d(t(np.concatenate(parts, axis=1)), t(w), t(b), stride=2, padding=1)
-    blocks = F.conv2d([t(p) for p in parts], t(w), t(b), stride=2, padding=1)
-    assert whole.data.tobytes() == blocks.data.tobytes()
+@pytest.mark.parametrize("stride, padding", [(0, 0), (-1, 0), (1.5, 0), (1, -1)])
+@pytest.mark.parametrize("op", ["conv2d", "conv_transpose2d"])
+def test_conv_rejects_bad_stride_and_padding(op, stride, padding):
+    """A stride below 1 or not an int, or a padding below 0, names the op."""
+    x, w = t(np.zeros((1, 2, 5, 5))), t(np.zeros((3, 2, 2, 2) if op == "conv2d" else (2, 3, 2, 2)))
+    with pytest.raises(ShapeError, match=op):
+        getattr(F, op)(x, w, stride=stride, padding=padding)
 
 
 def test_softmax_rows_sum_to_one():

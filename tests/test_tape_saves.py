@@ -52,9 +52,7 @@ def _cases(dtype):
                          for t, inputs in ((True, bn_inputs()), (False, bn_inputs()))
                          for r in (False, True)],
         "conv2d": [([a(2, 2, 5, 5), a(3, 2, 3, 3)], {"stride": 2, "padding": 1}),
-                   ([a(2, 1, 5, 5), a(3, 3, 3, 3), a(2, 2, 5, 5)], {"padding": 1}),  # two blocks
-                   ([a(2, 2, 4, 4), a(3, 6, 3, 3), a(2, 1, 4, 4), a(2, 2, 4, 4), a(2, 1, 4, 4)],
-                    {"stride": 2, "padding": 1})],  # four blocks
+                   ([a(2, 4, 3, 5), a(3, 4, 1, 1)], {"stride": 1, "padding": 0})],  # pointwise
         "conv_transpose2d": [([a(1, 2, 3, 3), a(2, 3, 2, 2)], {"stride": 2, "padding": 0})],
         "bilinear_resize": [([a(1, 2, 3, 4)], {"out_h": 5, "out_w": 7})],
         "reflect_pad2d": [([a(1, 1, 3, 4)], {"pad_h": 2, "pad_w": 2})],
@@ -181,24 +179,24 @@ def test_attention_scores_are_freed_before_backward(monkeypatch):
     assert x.grad is not None and np.isfinite(x.grad).all()
 
 
-def test_block_conv_frees_its_blocks_before_their_gradients(monkeypatch):
+def test_conv_frees_its_input_before_its_gradient(monkeypatch):
     """Backward drops a node's inputs before its rule runs, so the rule's saved
-    arrays have no other holder: UperNet's PPM fuse conv frees its five input
-    blocks (the coarsest level and the four PPM branches) once the kernel's
-    gradient is done, before the blocks' gradients are allocated."""
+    arrays have no other holder: UperNet's PPM fuse conv frees its input (the
+    concatenation of the coarsest level and the four PPM branches) once the
+    kernel's gradient is done, before the input's gradient is allocated."""
     model = build_model(tiny_backbone(), DecoderConfig("upernet", 2), "lora", seed=0)
     fuse_weight = model.decoder.ppm_fuse.conv.weight
-    blocks, seen = [], []
+    inputs, seen = [], []
     conv2d, grad_x = F.conv2d, primitives._conv2d_grad_x
 
     def spy_conv2d(x, w, *args, **kwargs):
         if w is fuse_weight:
-            blocks.extend(weakref.ref(t.data) for t in x)
+            inputs.append(weakref.ref(x.data))
         return conv2d(x, w, *args, **kwargs)
 
     def spy_grad_x(gy, w, *args, **kwargs):
-        if w is fuse_weight.data and blocks and not seen:
-            seen.append([ref() is None for ref in blocks])
+        if w is fuse_weight.data and inputs and not seen:
+            seen.append(inputs[0]() is None)
         return grad_x(gy, w, *args, **kwargs)
 
     monkeypatch.setattr(F, "conv2d", spy_conv2d)
@@ -206,6 +204,7 @@ def test_block_conv_frees_its_blocks_before_their_gradients(monkeypatch):
     rng = np.random.default_rng(5)
     images = rng.normal(size=(2, 6, 64, 64)).astype(np.float32)
     loss = F.cross_entropy(model.forward(images, training=True), rng.integers(0, 2, size=(2, 64, 64)))
-    assert len(blocks) == 5 and all(ref() is not None for ref in blocks)  # the tape holds them
+    assert len(inputs) == 1 and inputs[0]() is not None  # the tape holds it
+    assert inputs[0]().shape == (2, 64 + 4 * 128, 4, 4)
     backward(loss)
-    assert seen == [[True] * 5]
+    assert seen == [True]
