@@ -792,11 +792,11 @@ def _convt_out_hw(x, w, s, p, out):
     kh, kw = w.shape[2], w.shape[3]
     base_h = (x.shape[2] - 1) * s - 2 * p + kh
     base_w = (x.shape[3] - 1) * s - 2 * p + kw
-    if out is None:
-        return base_h, base_w
-    oh, ow = out
+    oh, ow = (base_h, base_w) if out is None else out
     if not (base_h <= oh < base_h + s and base_w <= ow < base_w + s):
         raise _shape_err("conv_transpose2d", f"output_size {out} inconsistent with stride/kernel", x.shape, w.shape)
+    if oh < 1 or ow < 1:
+        raise _shape_err("conv_transpose2d", f"no output: padding {p} gives ({oh},{ow})", x.shape, w.shape)
     return oh, ow
 
 
@@ -943,6 +943,8 @@ def _adaptive_avg_pool2d_fwd(datas, attrs):
     if x.ndim != 4:
         raise _shape_err("adaptive_avg_pool2d", "input must be (B,C,H,W)", x.shape)
     oh, ow = attrs["out_h"], attrs["out_w"]
+    if oh < 1 or ow < 1:
+        raise _shape_err("adaptive_avg_pool2d", f"invalid target ({oh},{ow})", x.shape)
     hs, he = _adaptive_bins(x.shape[2], oh)
     ws, we = _adaptive_bins(x.shape[3], ow)
     out = np.empty(x.shape[:2] + (oh, ow), dtype=x.dtype)

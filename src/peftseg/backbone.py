@@ -168,30 +168,34 @@ class TransformerBlock(Module):
         t = F.reshape(t, (b, n, self.heads, self.head_dim))
         return F.transpose(t, (0, 2, 1, 3))
 
-    def __call__(self, x: Tensor, kv_rows: int = 0) -> Tensor:
-        """Run the block on (B, n, d) rows. The first ``kv_rows`` rows only
-        supply keys and values: no query, output projection or MLP runs on
-        them, and the block returns the other n - kv_rows rows."""
-        n = x.shape[1]
-        if not 0 <= kv_rows < n:
-            raise ShapeError(f"block: {kv_rows} key/value-only rows outside [0, {n})")
-        x = self._attention_half(x, kv_rows)
+    def __call__(self, x: Tensor, prompts: Tensor | None = None) -> Tensor:
+        """Run the block on (B, n, d) rows. ``prompts``, a (1, P, d) block that
+        every image shares, only supplies keys and values: no query, output
+        projection or MLP runs on it, and the block returns the n input rows."""
+        d = x.shape[-1]
+        if prompts is not None and (prompts.ndim != 3 or (prompts.shape[0], prompts.shape[2]) != (1, d)):
+            raise ShapeError(f"block: prompts {prompts.shape} are not (1, P, {d})")
+        x = self._attention_half(x, prompts)
         return F.add(x, self.mlp["fc2"](F.gelu(self.mlp["fc1"](self.ln2(x)))))
 
-    def _attention_half(self, x: Tensor, kv_rows: int) -> Tensor:
-        """x + attn(LN(x)) on the query rows. Its own frame, so the LN output,
-        q, k, v and the context are freed before the MLP runs."""
+    def _attention_half(self, x: Tensor, prompts: Tensor | None) -> Tensor:
+        """x + attn(LN(x)) over the keys ``[prompts; x]``, ``ln1``, ``k`` and ``v``
+        run once on the prompt block. Its own frame, so the LN output, q, k, v
+        and the context are freed before the MLP runs."""
         b, n, d = x.shape
-        m = n - kv_rows
         h = self.ln1(x)
-        rows = (None, (kv_rows, n), None)
-        q = self._split_heads(self.attn["q"](F.slice_ranges(h, rows) if kv_rows else h), b, m)
+        q = self._split_heads(self.attn["q"](h), b, n)
         k = self._split_heads(self.attn["k"](h), b, n)
         v = self._split_heads(self.attn["v"](h), b, n)
+        del h
+        if prompts is not None:
+            hp = self.ln1(prompts)
+            kp, vp = (self._split_heads(self.attn[name](hp), 1, prompts.shape[1]) for name in "kv")
+            if b > 1:
+                kp, vp = F.concat([kp] * b, axis=0), F.concat([vp] * b, axis=0)
+            k, v = F.concat([kp, k], axis=2), F.concat([vp, v], axis=2)
         ctx = F.attention(q, k, v)
-        ctx = F.reshape(F.transpose(ctx, (0, 2, 1, 3)), (b, m, d))
-        if kv_rows:
-            x = F.slice_ranges(x, rows)
+        ctx = F.reshape(F.transpose(ctx, (0, 2, 1, 3)), (b, n, d))
         return F.add(x, self.attn["o"](ctx))
 
 
@@ -270,14 +274,9 @@ class ViTBackbone(Module):
             if self.adapter is not None and adapter_tokens is not None \
                     and layer in self.adapter.injection_layers:
                 x = F.add(x, self.adapter.inject[layer](x, adapter_tokens))
-            if self.vpt is not None:
-                n_p = self.vpt.prompts[layer - 1].shape[0]
-                block_prompts = F.reshape(self.vpt.prompts[layer - 1], (1, n_p, d))
-                if b > 1:
-                    block_prompts = F.concat([block_prompts] * b, axis=0)
-                x = block(F.concat([block_prompts, x], axis=1), kv_rows=n_p)
-            else:
-                x = block(x)
+            prompts = None if self.vpt is None else \
+                F.reshape(self.vpt.prompts[layer - 1], (1, -1, d))
+            x = block(x, prompts)
             if layer in tap_layers:
                 taps.append(F.reshape(x, (b, gh, gw, d)))
 

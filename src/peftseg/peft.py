@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .autodiff import Tensor, functional as F
+from .autodiff.tensor import grad_enabled
 from .backbone import ViTBackbone
 from .errors import ConfigError, ShapeError
 from .nn import Conv2d, Linear, Module, param, zeros_param
@@ -72,7 +73,9 @@ class LoraLinear(Module):
     """Wraps a frozen linear map with an additive low-rank update.
 
     The up matrix starts at exact zeros, so the wrapped forward equals the
-    base forward at attachment time; the down matrix is Gaussian.
+    base forward at attachment time; the down matrix is Gaussian. Training
+    runs the two low-rank products beside the base, so no dense (d_out, d_in)
+    weight gradient is built; a forward-only pass runs on the merged weight.
     """
 
     def __init__(self, rng: np.random.Generator, base: Linear, rank: int, scaling: float):
@@ -83,6 +86,8 @@ class LoraLinear(Module):
         self.scaling = scaling
 
     def __call__(self, x: Tensor) -> Tensor:
+        if not grad_enabled():  # one matmul, on the weight merge_lora writes
+            return F.linear(x, Tensor(self.merged_weight()), self.base.bias)
         # the base matmul runs first: x's gradient sums its terms in reverse node order
         y = self.base(x)
         down = F.matmul(x, self.lora_a, transpose_b=True)
@@ -235,7 +240,7 @@ def merge_lora(backbone: ViTBackbone) -> ViTBackbone:
         for layers in (block.attn, block.mlp):
             for attr, layer in layers.items():
                 if isinstance(layer, LoraLinear):
-                    layer.base.weight.data[...] = layer.merged_weight().astype(np.float32)
+                    layer.base.weight.data[...] = layer.merged_weight()
                     layers[attr] = layer.base
     backbone.lora = None
     return backbone

@@ -90,16 +90,21 @@ class AdamW:
             g = t.grad
             if g is None:
                 continue
-            m = self._m[name]
-            v = self._v[name]
+            m, v = self._m[name], self._v[name]
+            # two scratch arrays; each step rounds as lr * ((m/bias1) / (sqrt(v/bias2) + eps) + wd*data)
+            buf, update = np.empty_like(m), np.empty_like(m)
             m *= b1
-            m += (1 - b1) * g
+            m += np.multiply(g, 1 - b1, out=buf)
             v *= b2
-            v += (1 - b2) * (g * g)
-            update = (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+            v += np.multiply(np.multiply(g, g, out=buf), 1 - b2, out=buf)
+            np.sqrt(np.divide(v, bias2, out=buf), out=buf)
+            buf += ADAM_EPS
+            np.divide(m, bias1, out=update)
+            update /= buf
             if self.weight_decay:
-                update = update + self.weight_decay * t.data
-            t.data -= (self.lr * update).astype(t.data.dtype)
+                update += np.multiply(t.data, self.weight_decay, out=buf)
+            update *= self.lr
+            t.data -= update
 
 
 class EarlyStopping:

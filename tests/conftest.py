@@ -92,6 +92,20 @@ class PrimitivePeak(NamedTuple):
 
 
 @contextmanager
+def _probed_rules(probe):
+    """Replace every registry entry's forward and backward rule with
+    ``probe(op, direction, rule)``, keeping its ``saves``, while the block runs."""
+    originals = dict(primitives._REGISTRY)
+    for op, prim in originals.items():
+        primitives._REGISTRY[op] = replace(prim, forward=probe(op, "forward", prim.forward),
+                                           backward=probe(op, "backward", prim.backward))
+    try:
+        yield
+    finally:
+        primitives._REGISTRY.update(originals)
+
+
+@contextmanager
 def primitive_peaks():
     """Trace memory and yield a list that gets a ``PrimitivePeak`` for every
     forward and backward rule run while the block is active.
@@ -114,16 +128,29 @@ def primitive_peaks():
             return out
         return run
 
-    originals = dict(primitives._REGISTRY)
-    for op, prim in originals.items():
-        primitives._REGISTRY[op] = replace(prim, forward=probed(op, "forward", prim.forward),
-                                           backward=probed(op, "backward", prim.backward))
-    tracemalloc.start()
-    try:
-        yield rows
-    finally:
-        tracemalloc.stop()
-        primitives._REGISTRY.update(originals)
+    with _probed_rules(probed):
+        tracemalloc.start()
+        try:
+            yield rows
+        finally:
+            tracemalloc.stop()
+
+
+@contextmanager
+def primitive_calls():
+    """Yield a ``Counter`` of rule calls keyed by (op, direction), direction
+    "forward" or "backward", for every rule run while the block is active.
+    A node's backward rule is counted only if its forward ran inside the block."""
+    counts = Counter()
+
+    def counted(op, direction, rule):
+        def run(*args):
+            counts[op, direction] += 1
+            return rule(*args)
+        return run
+
+    with _probed_rules(counted):
+        yield counts
 
 
 def desk_run_config(manifest, backbone, method, seed) -> RunConfig:

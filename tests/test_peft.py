@@ -1,20 +1,22 @@
 """PEFT attachments: exact parameter counts, attachment-time identity, merge
 equivalence, freeze-policy soundness."""
 
+import copy
+
 import numpy as np
 import pytest
 
-from peftseg.autodiff import backward, functional as F
+from peftseg.autodiff import backward, functional as F, no_grad
 from peftseg.backbone import ViTBackbone, vit_base_config, vit_large_config
 from peftseg.decoders import DecoderConfig
 from peftseg.errors import ConfigError
 from peftseg.model import build_model
 from peftseg.peft import (LoraConfig, VitAdapterConfig, VptConfig, apply_freeze_policy,
                           attach_lora, attach_vit_adapter, count_parameters,
-                          merge_lora, policy_trains)
+                          LoraLinear, merge_lora, policy_trains)
 from peftseg.training import AdamW
 
-from conftest import BANDS6, TINY_ADAPTER, tiny_backbone
+from conftest import BANDS6, TINY_ADAPTER, primitive_calls, tiny_backbone
 
 RNG = np.random.default_rng(7)
 
@@ -225,6 +227,36 @@ def test_merge_after_training_matches_adapter_forward():
         merge_lora(model.backbone)
         after = model.forward(image).data
         assert np.abs(before - after).max() <= 1e-5, lora_cfg
+
+
+@pytest.mark.parametrize("scaling", [1.0, 2.0])
+def test_forward_only_lora_keeps_the_bits_of_the_merged_copy(scaling):
+    """Under ``no_grad`` each adapted layer runs one ``matmul`` on the weight
+    ``merge_lora`` writes, so logits and embeddings keep the merged copy's bits."""
+    model = build_model(tiny_backbone(), DecoderConfig("linear", 2), "lora", seed=5,
+                        lora_cfg=LoraConfig(scaling=scaling))
+    _train_steps(model, steps=2)
+    merged = copy.deepcopy(model)
+    merge_lora(merged.backbone)
+    images = RNG.normal(size=(2, 6, 64, 64)).astype(np.float32)
+    outputs, matmuls = [], []
+    for m in (model, merged):
+        with no_grad(), primitive_calls() as counts:
+            logits = m.forward(images).data
+        outputs.append((logits.tobytes(), m.backbone.image_embedding(images).tobytes()))
+        matmuls.append(counts["matmul", "forward"])
+    assert outputs[0] == outputs[1]
+    assert matmuls[0] == matmuls[1]
+
+
+def test_lora_training_step_keeps_low_rank_gradients():
+    model = build_model(tiny_backbone(), DecoderConfig("linear", 2), "lora", seed=5)
+    _train_steps(model, steps=1)
+    layers = [layer for _, layer in model.backbone.lora.layers]
+    assert len(layers) == 16 and all(isinstance(layer, LoraLinear) for layer in layers)
+    for layer in layers:
+        assert layer.lora_a.grad is not None and layer.lora_b.grad is not None
+        assert layer.base.weight.grad is None and layer.base.bias.grad is None
 
 
 def test_merge_twice_is_idempotent():

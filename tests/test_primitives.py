@@ -81,6 +81,24 @@ def test_conv_rejects_bad_stride_and_padding(op, stride, padding):
         getattr(F, op)(x, w, stride=stride, padding=padding)
 
 
+@pytest.mark.parametrize("op, x_shape, args", [
+    ("conv_transpose2d", (1, 2, 1, 1), {"w": (2, 3, 2, 2), "padding": 1}),  # 0x0 output
+    ("conv_transpose2d", (1, 2, 1, 1), {"w": (2, 3, 2, 2), "padding": 2}),  # negative extent
+    ("adaptive_avg_pool2d", (1, 2, 3, 3), {"out_h": 0, "out_w": 2}),
+    ("adaptive_avg_pool2d", (1, 2, 3, 3), {"out_h": 2, "out_w": -1}),
+], ids=["convt-empty", "convt-negative", "pool-zero-height", "pool-negative-width"])
+def test_ops_reject_an_empty_output(op, x_shape, args):
+    """A target or padding that leaves no output raises ``ShapeError`` naming
+    the op and the input shape, not an empty map or a raw numpy error."""
+    args = dict(args)
+    if "w" in args:
+        args["w"] = t(np.zeros(args["w"]))
+    with pytest.raises(ShapeError) as err:
+        getattr(F, op)(t(np.zeros(x_shape)), **args)
+    msg = str(err.value)
+    assert op in msg and str(x_shape) in msg, msg
+
+
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(1)
     x = t(rng.normal(size=(5, 7)))

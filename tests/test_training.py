@@ -11,7 +11,7 @@ from peftseg.data import IGNORE_INDEX, normalize, subset_bands
 from peftseg.errors import ConfigError, DataError, MetricError, ShapeError, TrainingDivergedError
 from peftseg.model import build_model
 from peftseg.synthetic import SyntheticConfig, generate_synthetic
-from peftseg.training import (AdamW, EarlyStopping, ReduceOnPlateau, RunConfig,
+from peftseg.training import (ADAM_EPS, BETA1, BETA2, AdamW, EarlyStopping, ReduceOnPlateau, RunConfig,
                               aggregate_values, assemble_batch, evaluate, lr_search,
                               run_replicates, train, write_history_csv)
 
@@ -127,6 +127,29 @@ def test_adamw_first_step_size_is_lr():
     p.grad = np.array([1.0, -3.0], dtype=np.float32)
     opt.step()
     np.testing.assert_allclose(p.data, [-0.01, 0.01], rtol=1e-4)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adamw_keeps_the_bits_of_the_textbook_formula(dtype, weight_decay):
+    """The in-place update equals the reference expression, one temporary per
+    operation, bit for bit over several steps."""
+    rng = np.random.default_rng(3)
+    start = rng.normal(size=(37, 11)).astype(dtype)
+    grads = [rng.normal(size=start.shape).astype(dtype) for _ in range(5)]
+    p = Tensor(start.copy(), requires_grad=True)
+    opt = AdamW([("p", p)], lr=3e-3, weight_decay=weight_decay)
+    want, m, v = start.copy(), np.zeros_like(start), np.zeros_like(start)
+    for step, g in enumerate(grads, start=1):
+        p.grad = g
+        opt.step()
+        m = BETA1 * m + (1 - BETA1) * g
+        v = BETA2 * v + (1 - BETA2) * (g * g)
+        update = (m / (1.0 - BETA1 ** step)) / (np.sqrt(v / (1.0 - BETA2 ** step)) + ADAM_EPS)
+        if weight_decay:
+            update = update + weight_decay * want
+        want -= (3e-3 * update).astype(dtype)
+        assert p.data.dtype == dtype and p.data.tobytes() == want.tobytes(), step
 
 
 # ---------------------------------------------------------------------------
